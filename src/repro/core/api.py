@@ -10,8 +10,9 @@ count, or schedule them adversarially.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, KernelError
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -43,6 +44,23 @@ from ..hw.dma.protocols.keyed import (
 from ..os.process import Process, shadow_vaddr
 from ..units import Time, to_us
 from .machine import PAL_DMA_FUNCTION, Workstation
+
+#: Distinct initiation programs kept assembled (see :func:`_assemble_memo`).
+PROGRAM_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PROGRAM_MEMO_SIZE)
+def _assemble_memo(instructions: Tuple[Instruction, ...],
+                   name: str) -> Program:
+    """:func:`assemble`, once per distinct instruction sequence and name.
+
+    A channel re-issues the same few sequences (one per buffer pair and
+    size), so each is assembled and validated once and the read-only
+    :class:`Program` is shared.  Bounded, least recently used out first,
+    because ``repro serve`` runs indefinitely.  A malformed sequence
+    raises on every call: exceptions are never cached.
+    """
+    return assemble(instructions, name=name)
 
 
 @dataclass(frozen=True)
@@ -205,8 +223,8 @@ class DmaChannel:
         instructions = self.sequence(vsrc, vdst, size,
                                      with_retry=with_retry, with_mb=with_mb)
         instructions.append(Halt())
-        return assemble(instructions,
-                        name=name or f"dma-{self.method.name}")
+        return _assemble_memo(tuple(instructions),
+                              name or f"dma-{self.method.name}")
 
     def _keyed_sequence(self, vsrc: int, vdst: int,
                         size: int) -> List[Instruction]:

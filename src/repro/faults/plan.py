@@ -113,6 +113,12 @@ class FaultPlan:
         self._rng = random.Random(self.seed)
         self._seen: Dict[int, int] = {i: 0 for i in range(len(self.rules))}
         self._fired: Dict[int, int] = {i: 0 for i in range(len(self.rules))}
+        #: (index, rule) pairs per target, in schedule order: most
+        #: operations (every bus access) match few or no rules.
+        self._by_target: Dict[str, List[Tuple[int, FaultRule]]] = {}
+        for index, rule in enumerate(self.rules):
+            self._by_target.setdefault(rule.target, []).append(
+                (index, rule))
 
     @property
     def total_fired(self) -> int:
@@ -135,9 +141,7 @@ class FaultPlan:
         regardless of which rule wins.
         """
         chosen: Optional[FaultRule] = None
-        for index, rule in enumerate(self.rules):
-            if rule.target != target:
-                continue
+        for index, rule in self._by_target.get(target, ()):
             if rule.kernel_immune and kernel:
                 continue
             if rule.issuer is not None and issuer != rule.issuer:

@@ -90,12 +90,8 @@ BUS_PRESETS = {
 @dataclass(frozen=True)
 class _Window:
     base: int
-    size: int
+    limit: int
     device: MmioDevice
-
-    @property
-    def limit(self) -> int:
-        return self.base + self.size
 
 
 class Bus:
@@ -112,6 +108,16 @@ class Bus:
         self.timing = timing
         self.clock = timing.clock()
         self.stats = stats if stats is not None else StatRegistry("bus")
+        # Looked up once: the registry resets counters in place.
+        counter = self.stats.counter
+        self._device_reads = counter("device_reads")
+        self._device_writes = counter("device_writes")
+        self._ram_reads = counter("ram_reads")
+        self._ram_writes = counter("ram_writes")
+        # Fixed per-access costs in ps.
+        self._device_read_ps = self.clock.cycles(timing.device_read_cycles)
+        self._device_write_ps = self.clock.cycles(timing.device_write_cycles)
+        self._ram_word_ps = self.clock.cycles(timing.ram_word_cycles)
         self._windows: List[_Window] = []
 
     # -- topology ---------------------------------------------------------------
@@ -128,7 +134,7 @@ class Bus:
             raise ConfigError(
                 f"device window {base:#x} overlaps RAM "
                 f"(size {self.ram.size:#x})")
-        new = _Window(base, size, device)
+        new = _Window(base, base + size, device)
         for window in self._windows:
             if new.base < window.limit and window.base < new.limit:
                 raise ConfigError(
@@ -138,6 +144,8 @@ class Bus:
 
     def find_window(self, paddr: int) -> Optional[Tuple[MmioDevice, int]]:
         """Return (device, offset) owning *paddr*, or None."""
+        if paddr < self.ram.size:
+            return None  # attach() keeps every window above RAM
         for window in self._windows:
             if window.base <= paddr < window.limit:
                 return window.device, paddr - window.base
@@ -167,13 +175,12 @@ class Bus:
         hit = self.find_window(paddr)
         if hit is not None:
             device, offset = hit
-            self.stats.counter("device_reads").add()
+            self._device_reads.add()
             value = device.mmio_read(offset, ctx)
-            return value, self.clock.cycles(self.timing.device_read_cycles)
+            return value, self._device_read_ps
         if self.ram.contains(paddr, 8):
-            self.stats.counter("ram_reads").add()
-            return (self.ram.read_word(paddr),
-                    self.clock.cycles(self.timing.ram_word_cycles))
+            self._ram_reads.add()
+            return self.ram.read_word(paddr), self._ram_word_ps
         raise BusError(paddr, "read")
 
     def write_word(self, paddr: int, value: int,
@@ -186,13 +193,13 @@ class Bus:
         hit = self.find_window(paddr)
         if hit is not None:
             device, offset = hit
-            self.stats.counter("device_writes").add()
+            self._device_writes.add()
             device.mmio_write(offset, value, ctx)
-            return self.clock.cycles(self.timing.device_write_cycles)
+            return self._device_write_ps
         if self.ram.contains(paddr, 8):
-            self.stats.counter("ram_writes").add()
+            self._ram_writes.add()
             self.ram.write_word(paddr, value)
-            return self.clock.cycles(self.timing.ram_word_cycles)
+            return self._ram_word_ps
         raise BusError(paddr, "write")
 
     def dma_stream_cost(self, nbytes: int) -> Time:

@@ -186,11 +186,24 @@ class Cpu:
         #: flat mem_cycles cost.
         self.cache = cache
         self.stats = StatRegistry(name)
+        # The counters every instruction bumps, looked up once: the
+        # registry resets counters in place, so these stay live.
+        counter = self.stats.counter
+        self._instructions = counter("instructions")
+        self._loads = counter("loads")
+        self._stores = counter("stores")
+        self._uncached_loads = counter("uncached_loads")
+        self._uncached_stores = counter("uncached_stores")
+        # The fixed per-instruction costs in ps (the clock and the cost
+        # table never change after construction).
+        self._base_ps = clock.cycles(costs.base_cycles)
+        self._branch_ps = clock.cycles(costs.branch_cycles)
+        self._uncached_ps = clock.cycles(costs.base_cycles
+                                         + costs.uncached_issue_cycles)
         self._pal_functions: Dict[str, Program] = {}
         self._syscalls: Dict[str, SyscallHandler] = {}
         self._in_pal = False
         self._in_kernel = False
-        self._current_thread: Optional[Thread] = None
 
     # -- configuration ---------------------------------------------------------
 
@@ -239,15 +252,16 @@ class Cpu:
         thread's page table.  PAL calls and syscalls complete entirely
         within one step — this is the atomicity the paper leans on.
         """
-        if thread.done:
-            return StepStatus.HALTED if thread.halted else StepStatus.FAULTED
-        if thread.pc >= len(thread.program):
+        if thread.halted:
+            return StepStatus.HALTED
+        if thread.fault is not None:
+            return StepStatus.FAULTED
+        instructions = thread.program.instructions
+        if thread.pc >= len(instructions):
             thread.halted = True
             return StepStatus.HALTED
-        instr = thread.program.instructions[thread.pc]
-        self._current_thread = thread
         try:
-            next_pc = self._execute(thread, instr)
+            next_pc = self._execute(thread, instructions[thread.pc])
         except (PageFault, ProtectionFault) as exc:
             thread.fault = Fault(
                 kind=type(exc).__name__,
@@ -260,11 +274,9 @@ class Cpu:
                             pid=thread.pid, pc=thread.pc,
                             fault=thread.fault.kind, vaddr=exc.vaddr)
             return StepStatus.FAULTED
-        finally:
-            self._current_thread = None
         thread.pc = next_pc
         thread.instructions_retired += 1
-        self.stats.counter("instructions").add()
+        self._instructions.add()
         if thread.halted:
             return StepStatus.HALTED
         return StepStatus.RUNNING
@@ -296,59 +308,61 @@ class Cpu:
     # -- per-instruction semantics ---------------------------------------------------
 
     def _execute(self, thread: Thread, instr: Instruction) -> int:
+        # Tested most frequent first: the initiation sequences are
+        # stores, loads, argument moves, a syscall and the final halt.
         pc = thread.pc
-        if isinstance(instr, Load):
-            self._do_load(thread, instr.dst, instr.addr)
-            return pc + 1
         if isinstance(instr, Store):
             self._do_store(thread, instr.addr, self._value(thread, instr.src))
             return pc + 1
-        if isinstance(instr, CompareExchange):
-            self._do_exchange(thread, instr.dst, instr.addr,
-                              self._value(thread, instr.src))
+        if isinstance(instr, Load):
+            self._do_load(thread, instr.dst, instr.addr)
+            return pc + 1
+        if isinstance(instr, Mov):
+            thread.set_reg(instr.dst, self._value(thread, instr.src))
+            self.sim.advance(self._base_ps)
+            return pc + 1
+        if isinstance(instr, Halt):
+            thread.halted = True
+            self.sim.advance(self._base_ps)
+            # The buffer keeps draining after the program ends; model it
+            # as a final flush so no posted store is ever lost.
+            self._flush_write_buffer(thread)
+            return pc + 1
+        if isinstance(instr, Syscall):
+            self._do_syscall(thread, instr.name)
             return pc + 1
         if isinstance(instr, Mb):
             self._advance_cycles(self.costs.mb_cycles)
             self._flush_write_buffer(thread)
             self.stats.counter("mbs").add()
             return pc + 1
-        if isinstance(instr, Mov):
-            thread.set_reg(instr.dst, self._value(thread, instr.src))
-            self._advance_cycles(self.costs.base_cycles)
-            return pc + 1
-        if isinstance(instr, Add):
-            total = self._value(thread, instr.a) + self._value(thread, instr.b)
-            thread.set_reg(instr.dst, total)
-            self._advance_cycles(self.costs.base_cycles)
-            return pc + 1
         if isinstance(instr, Beq):
-            self._advance_cycles(self.costs.branch_cycles)
+            self.sim.advance(self._branch_ps)
             if self._value(thread, instr.a) == self._value(thread, instr.b):
                 return thread.program.target(instr.target)
             return pc + 1
         if isinstance(instr, Bne):
-            self._advance_cycles(self.costs.branch_cycles)
+            self.sim.advance(self._branch_ps)
             if self._value(thread, instr.a) != self._value(thread, instr.b):
                 return thread.program.target(instr.target)
             return pc + 1
+        if isinstance(instr, Add):
+            total = self._value(thread, instr.a) + self._value(thread, instr.b)
+            thread.set_reg(instr.dst, total)
+            self.sim.advance(self._base_ps)
+            return pc + 1
         if isinstance(instr, Jump):
-            self._advance_cycles(self.costs.branch_cycles)
+            self.sim.advance(self._branch_ps)
             return thread.program.target(instr.target)
+        if isinstance(instr, CompareExchange):
+            self._do_exchange(thread, instr.dst, instr.addr,
+                              self._value(thread, instr.src))
+            return pc + 1
         if isinstance(instr, CallPal):
             self._do_call_pal(thread, instr.name)
             return pc + 1
-        if isinstance(instr, Syscall):
-            self._do_syscall(thread, instr.name)
-            return pc + 1
-        if isinstance(instr, Halt):
-            thread.halted = True
-            self._advance_cycles(self.costs.base_cycles)
-            # The buffer keeps draining after the program ends; model it
-            # as a final flush so no posted store is ever lost.
-            self._flush_write_buffer(thread)
-            return pc + 1
         if isinstance(instr, Nop):
-            self._advance_cycles(self.costs.base_cycles)
+            self.sim.advance(self._base_ps)
             return pc + 1
         raise ConfigError(f"unknown instruction {instr!r}")
 
@@ -366,24 +380,23 @@ class Cpu:
                 # Relaxed write buffer: the load is serviced from a
                 # pending same-address store and never reaches the device
                 # (footnote 6's failure mode).
-                self._advance_cycles(self.costs.base_cycles)
+                self.sim.advance(self._base_ps)
                 thread.set_reg(dst, forwarded)
                 self.stats.counter("forwarded_loads").add()
                 return
             if not self.write_buffer.relaxed:
                 # Strongly ordered interface: drain before the load.
                 self._flush_write_buffer(thread)
-            self._advance_cycles(self.costs.base_cycles
-                                 + self.costs.uncached_issue_cycles)
+            self.sim.advance(self._uncached_ps)
             value, bus_cost = self.bus.read_word(paddr, self._access_ctx(thread))
             self.sim.advance(bus_cost)
-            self.stats.counter("uncached_loads").add()
+            self._uncached_loads.add()
         else:
             self._advance_cycles(self.costs.mem_cycles
                                  if self.cache is None
                                  else self.cache.access(paddr))
             value = self.bus.ram.read_word(paddr)
-            self.stats.counter("loads").add()
+            self._loads.add()
         thread.set_reg(dst, value)
 
     def _do_store(self, thread: Thread, addr: Addr, value: int) -> None:
@@ -393,20 +406,19 @@ class Cpu:
         self.sim.advance(translation.cost)
         paddr = translation.paddr
         if self.bus.is_device(paddr):
-            self._advance_cycles(self.costs.base_cycles
-                                 + self.costs.uncached_issue_cycles)
+            self.sim.advance(self._uncached_ps)
             room_cost = self.write_buffer.post(
                 paddr, value & WORD_MASK, self._drain_fn(thread))
             # post() already advanced time inside the drain fn if it had
             # to make room; room_cost is informational.
             del room_cost
-            self.stats.counter("uncached_stores").add()
+            self._uncached_stores.add()
         else:
             self._advance_cycles(self.costs.mem_cycles
                                  if self.cache is None
                                  else self.cache.access(paddr))
             self.bus.ram.write_word(paddr, value & WORD_MASK)
-            self.stats.counter("stores").add()
+            self._stores.add()
 
     def _do_exchange(self, thread: Thread, dst: str, addr: Addr,
                      value: int) -> None:
@@ -418,8 +430,7 @@ class Cpu:
         self.sim.advance(translation.cost)
         paddr = translation.paddr
         self._flush_write_buffer(thread)
-        self._advance_cycles(self.costs.base_cycles
-                             + self.costs.uncached_issue_cycles)
+        self.sim.advance(self._uncached_ps)
         hit = self.bus.find_window(paddr)
         if hit is not None:
             device, offset = hit

@@ -21,7 +21,8 @@ resolved by :func:`assemble`.  Register names follow Alpha conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ConfigError
 
@@ -176,9 +177,12 @@ class Nop(Instruction):
     """Do nothing (pipeline filler)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """An assembled program: label-free instructions + branch table.
+
+    Read-only once built: assembled programs are shared between threads
+    and channels (see ``repro.core.api``).
 
     Attributes:
         instructions: the executable stream (no Label pseudo-ops).
@@ -186,8 +190,8 @@ class Program:
         name: optional display name.
     """
 
-    instructions: List[Instruction]
-    labels: Dict[str, int] = field(default_factory=dict)
+    instructions: Sequence[Instruction]
+    labels: Mapping[str, int] = field(default_factory=dict)
     name: str = ""
 
     def __len__(self) -> int:
@@ -217,7 +221,7 @@ def assemble(source: Sequence[Instruction], name: str = "") -> Program:
             labels[item.name] = len(instructions)
         else:
             instructions.append(item)
-    program = Program(instructions, labels, name)
+    program = Program(tuple(instructions), MappingProxyType(labels), name)
     _validate(program)
     return program
 

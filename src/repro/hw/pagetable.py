@@ -34,6 +34,11 @@ class Perm(Flag):
     RW = READ | WRITE
 
 
+#: The permission bit each access kind needs, as a plain int: testing
+#: ``perm._value_`` against it skips building a ``Perm`` per check.
+_ACCESS_BITS = {"read": Perm.READ.value, "write": Perm.WRITE.value}
+
+
 @dataclass(frozen=True)
 class Pte:
     """A page-table entry.
@@ -58,11 +63,10 @@ class Pte:
 
     def allows(self, access: str) -> bool:
         """Whether this PTE permits *access* ("read" or "write")."""
-        if access == "read":
-            return bool(self.perm & Perm.READ)
-        if access == "write":
-            return bool(self.perm & Perm.WRITE)
-        raise ValueError(f"unknown access kind {access!r}")
+        bit = _ACCESS_BITS.get(access)
+        if bit is None:
+            raise ValueError(f"unknown access kind {access!r}")
+        return bool(self.perm._value_ & bit)
 
 
 def vpn_of(vaddr: int) -> int:

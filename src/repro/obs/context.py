@@ -79,11 +79,19 @@ class TraceContext:
         if not isinstance(trace_id, str) or not trace_id:
             raise ObservabilityError(
                 "trace context needs a non-empty 'trace_id'")
-        return cls(trace_id=trace_id,
-                   parent_span_id=data.get("parent_span_id"),
+        parent = data.get("parent_span_id")
+        request_id = data.get("request_id", 0)
+        for field_name, value in (("parent_span_id", parent),
+                                  ("request_id", request_id)):
+            if value is not None and (not isinstance(value, int)
+                                      or isinstance(value, bool)):
+                raise ObservabilityError(
+                    f"trace-context {field_name} must be an integer, "
+                    f"got {value!r}")
+        return cls(trace_id=trace_id, parent_span_id=parent,
                    origin=str(data.get("origin", "")),
                    tenant=str(data.get("tenant", "")),
-                   request_id=int(data.get("request_id", 0)))
+                   request_id=request_id or 0)
 
 
 def make_trace_id(seed: int, request_id: int) -> str:

@@ -36,7 +36,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ObservabilityError
 from ..faults.plan import FaultPlan
 from ..obs.context import TraceContext, make_trace_id
 from ..obs.flightrec import REASON_SLO_BREACH, REASON_WRONG_PAGE
@@ -459,7 +459,9 @@ async def handle_connection(service: DmaService,
                             writer: "asyncio.StreamWriter") -> None:
     """One client connection: a request object per line, completions out.
 
-    ``{"op": "stats"}`` returns the service snapshot instead.
+    ``{"op": "stats"}`` returns the service snapshot instead.  A line
+    that does not parse as a request, or names a shard out of range,
+    gets one ``{"error": ...}`` line back and the connection stays open.
     """
     try:
         while True:
@@ -476,16 +478,19 @@ async def handle_connection(service: DmaService,
                 else:
                     try:
                         request = Request.from_dict(data)
-                    except (ConfigError, TypeError) as exc:
-                        response = {"error": str(exc)}
-                    else:
                         request = Request(
                             tenant=request.tenant, kind=request.kind,
                             size=request.size, hot=request.hot,
                             shard=request.shard, tick=service.tick,
                             req_id=service.next_req_id(),
                             trace=request.trace)
+                        # Routing (in submit) rejects a bad shard index
+                        # before the request is admitted or queued.
                         future = await service.submit(request)
+                    except (ConfigError, ObservabilityError,
+                            TypeError) as exc:
+                        response = {"error": str(exc)}
+                    else:
                         completion = await future
                         response = completion.to_dict()
             writer.write(json.dumps(response).encode("utf-8") + b"\n")

@@ -60,12 +60,25 @@ class Request:
     trace: Optional[TraceContext] = None
 
     def __post_init__(self) -> None:
+        # Type-strict: wire input is untrusted JSON, and a bool is an
+        # int to Python (``"size": true`` must not become a 1-byte DMA).
+        if not isinstance(self.tenant, str) or not self.tenant:
+            raise ConfigError(
+                f"tenant must be a non-empty string, got {self.tenant!r}")
         if self.kind not in REQUEST_KINDS:
             raise ConfigError(f"unknown request kind {self.kind!r}")
-        if self.size <= 0:
-            raise ConfigError(f"size must be positive, got {self.size}")
-        if not self.tenant:
-            raise ConfigError("tenant name must be non-empty")
+        if not _is_int(self.size) or self.size <= 0:
+            raise ConfigError(
+                f"size must be a positive integer, got {self.size!r}")
+        if not isinstance(self.hot, bool):
+            raise ConfigError(f"hot must be a boolean, got {self.hot!r}")
+        if self.shard is not None and not _is_int(self.shard):
+            raise ConfigError(
+                f"shard must be an integer or null, got {self.shard!r}")
+        if self.trace is not None and not isinstance(self.trace,
+                                                     TraceContext):
+            raise ConfigError(f"trace must be a trace context, "
+                              f"got {self.trace!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering."""
@@ -79,7 +92,15 @@ class Request:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Request":
-        """Parse a request object (the ``repro serve`` wire format)."""
+        """Parse a request object (the ``repro serve`` wire format).
+
+        Raises:
+            ConfigError: on a non-object, an unknown or mistyped field.
+            ObservabilityError: on a malformed trace context.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"request must be a JSON object, got {data!r}")
         known = {"tenant", "kind", "size", "hot", "shard", "tick",
                  "req_id", "trace"}
         unknown = set(data) - known
@@ -89,9 +110,17 @@ class Request:
             raise ConfigError("request needs a 'tenant'")
         kwargs = dict(data)
         trace = kwargs.get("trace")
-        if isinstance(trace, dict):
+        if trace is not None:
+            if not isinstance(trace, dict):
+                raise ConfigError(
+                    f"trace must be a JSON object, got {trace!r}")
             kwargs["trace"] = TraceContext.from_dict(trace)
         return cls(**kwargs)
+
+
+def _is_int(value: Any) -> bool:
+    """Whether *value* is an integer proper (not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

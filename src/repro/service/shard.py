@@ -51,6 +51,15 @@ MAX_TRANSFER_BYTES = 4096
 #: Hot-receiver buffer: slots of one page each.
 HOT_SLOT_BYTES = 4096
 
+#: The byte ramp 0, 1, ..., 255, 0, 1, ... — long enough that every
+#: rotation of it still covers a whole tenant buffer.  Tenant patterns
+#: are slices of it, and a 256-byte slice starting at *s* is the
+#: ``bytes.translate`` table that adds *s* (mod 256) to every byte.
+_RAMP = bytes(range(256)) * (TENANT_BUFFER_BYTES // 256 + 1)
+#: ``(i * 13) % 256`` for every byte of a tenant buffer; canaries are it
+#: shifted by a salt.
+_STRIDE13 = bytes((i * 13) % 256 for i in range(TENANT_BUFFER_BYTES))
+
 #: Bounded-wait policy tuned like the fault benchmark: the completion
 #: timeout comfortably exceeds a one-page transfer, and backoff stays in
 #: the microsecond range so a soak's simulated time is dominated by
@@ -161,9 +170,8 @@ class ServiceShard:
             self._recv_proc, cfg.hot_slots * HOT_SLOT_BYTES)
         self._hot_canary = self._make_canary(0xC3)
         #: The hot buffer's quiescent content (every slot canaried).
-        self._hot_baseline = b"".join(
-            self._hot_canary[:HOT_SLOT_BYTES]
-            for _ in range(cfg.hot_slots))
+        self._hot_baseline = (self._hot_canary[:HOT_SLOT_BYTES]
+                              * cfg.hot_slots)
         self.ws.ram.write(self._hot_buffer.paddr, self._hot_baseline)
 
     # ------------------------------------------------------------------
@@ -190,8 +198,8 @@ class ServiceShard:
                 atomic_via_kernel = True
         src = self.ws.kernel.alloc_buffer(proc, TENANT_BUFFER_BYTES)
         dst = self.ws.kernel.alloc_buffer(proc, TENANT_BUFFER_BYTES)
-        pattern = bytes((index * 31 + i) % 256
-                        for i in range(TENANT_BUFFER_BYTES))
+        start = (index * 31) % 256
+        pattern = _RAMP[start:start + TENANT_BUFFER_BYTES]
         canary = self._make_canary(index * 17 + 0x5A)
         self.ws.ram.write(src.paddr, pattern)
         self.ws.ram.write(dst.paddr, canary)
@@ -201,9 +209,11 @@ class ServiceShard:
                        pattern=pattern, canary=canary,
                        atomic_via_kernel=atomic_via_kernel)
 
-    def _make_canary(self, salt: int) -> bytes:
-        return bytes((salt + i * 13) % 256
-                     for i in range(TENANT_BUFFER_BYTES))
+    @staticmethod
+    def _make_canary(salt: int) -> bytes:
+        """``(salt + i * 13) % 256`` for every byte of a tenant buffer."""
+        shift = salt % 256
+        return _STRIDE13.translate(_RAMP[shift:shift + 256])
 
     @property
     def n_tenants(self) -> int:

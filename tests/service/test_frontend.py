@@ -13,6 +13,7 @@ from repro.service.admission import (
 from repro.service.frontend import (
     DmaService,
     ServiceConfig,
+    handle_connection,
     serve_forever,
     shard_of,
 )
@@ -217,3 +218,63 @@ def test_service_config_validation():
         ServiceConfig(shards=0)
     with pytest.raises(ConfigError):
         ServiceConfig(tick_hz=0)
+
+
+class _CapturingWriter:
+    """The slice of ``asyncio.StreamWriter`` the connection handler uses."""
+
+    def __init__(self):
+        self.lines = []
+        self.closed = False
+
+    def write(self, data):
+        self.lines.extend(data.decode().splitlines())
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+
+def _converse(lines, **overrides):
+    """Feed *lines* to one in-process connection; return its replies."""
+    async def scenario():
+        service = DmaService(small_config(**overrides))
+        await service.start()
+        reader = asyncio.StreamReader()
+        for line in lines:
+            raw = line if isinstance(line, str) else json.dumps(line)
+            reader.feed_data(raw.encode() + b"\n")
+        reader.feed_eof()
+        writer = _CapturingWriter()
+        await handle_connection(service, reader, writer)
+        await service.shutdown(drain=True)
+        assert writer.closed
+        return [json.loads(line) for line in writer.lines]
+
+    return run(scenario())
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ({"tenant": 5, "size": 64}, "tenant"),
+    ({"tenant": "a", "size": True}, "size"),
+    ({"tenant": "a", "size": 64, "hot": 1}, "hot"),
+    ({"tenant": "a", "size": 64, "shard": 99}, "shard 99"),
+    ({"tenant": "a", "size": 64, "shard": False}, "shard"),
+    ({"tenant": "a", "size": 64, "trace": {"trace_id": 1}}, "trace_id"),
+    ({"tenant": "a", "size": 64, "trace": "abc"}, "trace"),
+    ({"tenant": "a", "size": 64,
+      "trace": {"trace_id": "t", "request_id": "x"}}, "request_id"),
+    ([1, 2, 3], "JSON object"),
+])
+def test_mistyped_fields_get_one_error_line_and_the_connection_survives(
+        bad, reason):
+    replies = _converse([bad, {"tenant": "ok", "size": 256}])
+    assert len(replies) == 2
+    error, served = replies
+    assert set(error) == {"error"}
+    assert reason in error["error"]
+    assert served["ok"] is True
+    assert served["tenant"] == "ok"
+    assert served["bytes_moved"] == 256

@@ -11,6 +11,7 @@ from repro.service.requests import (
     Request,
 )
 from repro.service.shard import (
+    HOT_SLOT_BYTES,
     TENANT_BUFFER_BYTES,
     ServiceShard,
     ShardConfig,
@@ -188,6 +189,12 @@ def test_request_validation():
         Request.from_dict({"tenant": "a", "nope": 1})
     with pytest.raises(ConfigError):
         Request.from_dict({"kind": "dma"})
+    # Type-strict: a bool is not a size or shard, a number not a tenant.
+    for bad in ({"size": True}, {"size": 64.0}, {"shard": True},
+                {"shard": "1"}, {"hot": 1}, {"tenant": 5},
+                {"trace": {"trace_id": "t"}}):
+        with pytest.raises(ConfigError):
+            Request(**{"tenant": "a", **bad})
 
 
 def test_pattern_and_canary_are_tenant_specific():
@@ -198,3 +205,36 @@ def test_pattern_and_canary_are_tenant_specific():
     assert a.pattern != b.pattern
     assert a.canary != b.canary
     assert len(a.pattern) == TENANT_BUFFER_BYTES
+
+
+def _generator_pattern(index):
+    """The original byte-at-a-time tenant source pattern (the oracle)."""
+    return bytes((index * 31 + i) % 256 for i in range(TENANT_BUFFER_BYTES))
+
+
+def _generator_canary(salt):
+    """The original byte-at-a-time canary (the oracle)."""
+    return bytes((salt + i * 13) % 256 for i in range(TENANT_BUFFER_BYTES))
+
+
+def test_buffer_contents_match_the_generator_formulas():
+    """Patterns, canaries and the hot baseline are pinned byte for byte,
+    for indices whose salts wrap past 256 more than once."""
+    config = ShardConfig(seed=1, hot_slots=3)
+    shard = ServiceShard(0, config)
+    indices = (0, 1, 7, 255, 256, 979)
+    for i in range(max(indices) + 1):
+        shard.tenant(f"t{i}")
+    ram = shard.ws.ram
+    for index in indices:
+        tenant = shard.tenant(f"t{index}")
+        assert tenant.index == index
+        assert tenant.pattern == _generator_pattern(index)
+        assert tenant.canary == _generator_canary(index * 17 + 0x5A)
+        assert ram.read(tenant.src_paddr, TENANT_BUFFER_BYTES) \
+            == tenant.pattern
+        assert ram.read(tenant.dst_paddr, TENANT_BUFFER_BYTES) \
+            == tenant.canary
+    slot = _generator_canary(0xC3)[:HOT_SLOT_BYTES]
+    assert shard._hot_baseline == slot * config.hot_slots
+    assert shard.wrong_page_sweep() == []

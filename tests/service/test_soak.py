@@ -79,6 +79,20 @@ def test_same_seed_reproduces_the_report():
     assert "wall" not in first
 
 
+def test_wall_block_times_the_faulted_and_control_runs_apart():
+    faulted = run_soak(small(fault_rate=0.1))
+    wall = faulted["wall"]
+    assert set(wall) == {"faulted_s", "control_s", "faulted_req_per_s"}
+    assert wall["faulted_s"] > 0 and wall["control_s"] > 0
+    # Both are rounded: seconds to 1 ms, the rate to 0.1/s.
+    completed = faulted["requests"]["completed"]
+    assert (completed / (wall["faulted_s"] + 0.0005) - 0.05
+            <= wall["faulted_req_per_s"]
+            <= completed / (wall["faulted_s"] - 0.0005) + 0.05)
+    clean = run_soak(small())
+    assert clean["wall"]["control_s"] is None  # no faults -> no control
+
+
 def test_different_seed_changes_the_report():
     first = deterministic_view(run_soak(small(seed=3)))
     second = deterministic_view(run_soak(small(seed=4)))
