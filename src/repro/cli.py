@@ -321,11 +321,10 @@ def cmd_trace(args: argparse.Namespace) -> None:
     spans = run.spans()
     if args.export == "chrome":
         path = args.output or "trace.json"
-        trace = write_chrome_trace(path, spans,
-                                   events=run.ws.trace.events(),
-                                   metrics=run.ws.metrics)
+        trace = write_chrome_trace(path, spans, metrics=run.ws.metrics)
+        instants = sum(1 for span in spans if span.instant)
         print(f"wrote {path}: {len(trace['traceEvents'])} trace events "
-              f"({len(spans)} spans, {len(run.ws.trace)} log records, "
+              f"({len(spans) - instants} spans, {instants} instants, "
               f"{len(run.ws.metrics)} metric samples)")
         print("open it in https://ui.perfetto.dev or chrome://tracing")
     elif args.export == "jsonl":

@@ -455,8 +455,9 @@ class DmaChannel:
         times with exponential, jittered backoff (simulated-time waits),
         then degrades to the kernel syscall path.  All activity is
         counted in ``ws.stats`` (``dma.retries``, ``dma.recoveries``,
-        ``dma.retry_exhausted``, ``dma.kernel_fallbacks``) and emitted
-        to the trace log.
+        ``dma.retry_exhausted``, ``dma.kernel_fallbacks``) and, when the
+        workstation records spans, traced as ``dma.backoff`` and
+        ``dma.fallback`` spans under the ``dma.reliable`` root.
         """
         policy = policy if policy is not None else DEFAULT_RETRY_POLICY
         stats = self.ws.stats
@@ -474,17 +475,12 @@ class DmaChannel:
                 return self._reliable_success(result, attempt, False, None,
                                               start)
             stats.counter("dma.retries").add()
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-retry",
-                               attempt=attempt, via=self.via,
-                               pid=self.proc.pid)
             if attempt < policy.max_attempts:
                 self._backoff(policy, attempt, rng)
         stats.counter("dma.retry_exhausted").add()
         if policy.kernel_fallback and self.via == "user":
             result = self._fallback_initiate(vsrc, vdst, size)
             stats.counter("dma.kernel_fallbacks").add()
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-fallback",
-                               pid=self.proc.pid, ok=result.ok)
             self._end_reliable_span(root, "fell-back",
                                     policy.max_attempts + 1)
             if result.ok:
@@ -525,10 +521,6 @@ class DmaChannel:
             if transfer is not None:
                 stats.counter("dma.completion_timeouts").add()
             stats.counter("dma.retries").add()
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-retry",
-                               attempt=attempt, via=self.via,
-                               pid=self.proc.pid,
-                               lost_completion=transfer is not None)
             if attempt < policy.max_attempts:
                 self._backoff(policy, attempt, rng)
         stats.counter("dma.retry_exhausted").add()
@@ -543,8 +535,6 @@ class DmaChannel:
                 self._kernel_channel(), vsrc, vdst, size, policy)
             if fb is not None:
                 self.ws.spans.end(fb, ok=initiation.ok)
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-fallback",
-                               pid=self.proc.pid, ok=initiation.ok)
             self._end_reliable_span(root, "fell-back",
                                     policy.max_attempts + 1)
             if transfer is not None and transfer.completed:

@@ -29,10 +29,10 @@ from enum import Enum, auto
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigError, PageFault, ProtectionFault, ReproError
+from ..obs.spans import SpanTracer, disabled_tracer
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
-from ..sim.trace import TraceLog
 from ..units import Time
 from .bus import Bus
 from .device import AccessContext
@@ -165,13 +165,14 @@ class Cpu:
         bus: the I/O bus (also reaches RAM).
         write_buffer: the posted-store buffer.
         costs: per-instruction cycle costs.
-        trace: optional shared trace log.
+        spans: optional shared span tracer; a fault becomes an instant
+            ``cpu.fault`` span on this CPU's track.
         name: component name for stats/traces.
     """
 
     def __init__(self, sim: Simulator, clock: Clock, mmu: Mmu, bus: Bus,
                  write_buffer: WriteBuffer, costs: CpuCosts,
-                 trace: Optional[TraceLog] = None, name: str = "cpu0",
+                 spans: Optional[SpanTracer] = None, name: str = "cpu0",
                  cache=None) -> None:
         self.sim = sim
         self.clock = clock
@@ -179,7 +180,7 @@ class Cpu:
         self.bus = bus
         self.write_buffer = write_buffer
         self.costs = costs
-        self.trace = trace if trace is not None else TraceLog()
+        self.spans = spans if spans is not None else disabled_tracer()
         self.name = name
         #: Optional data cache (repro.hw.cache.DataCache); when present,
         #: cached RAM accesses pay its hit/miss cycles instead of the
@@ -270,9 +271,10 @@ class Cpu:
                 pc=thread.pc,
             )
             self.stats.counter("faults").add()
-            self.trace.emit(self.sim.now, self.name, "fault",
-                            pid=thread.pid, pc=thread.pc,
-                            fault=thread.fault.kind, vaddr=exc.vaddr)
+            if self.spans.enabled:
+                self.spans.instant("cpu.fault", track=self.name,
+                                   pid=thread.pid, pc=thread.pc,
+                                   fault=thread.fault.kind, vaddr=exc.vaddr)
             return StepStatus.FAULTED
         thread.pc = next_pc
         thread.instructions_retired += 1

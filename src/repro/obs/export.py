@@ -4,8 +4,8 @@ Three ways out of the observability layer:
 
 * :func:`chrome_trace` — the Chrome trace-event format (JSON object
   format with a ``traceEvents`` array), loadable in Perfetto and
-  ``chrome://tracing``.  Spans become ``X`` (complete) events, trace-log
-  records become ``i`` (instant) events, metric samples become ``C``
+  ``chrome://tracing``.  Spans become ``X`` (complete) events, instant
+  spans become ``i`` (instant) events, metric samples become ``C``
   (counter) events, and every distinct track gets its own named thread
   via ``M`` (metadata) events — one lane per CPU / process / engine.
 * :func:`spans_jsonl` — one JSON object per span, machine-greppable.
@@ -24,7 +24,6 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
 
 from ..errors import ObservabilityError
 from ..sim.stats import LatencyStat
-from ..sim.trace import TraceEvent
 from ..units import to_us
 from .metrics import MetricsSampler
 from .spans import Span
@@ -43,7 +42,6 @@ def _track_ids(tracks: Iterable[str]) -> Dict[str, int]:
 
 
 def chrome_trace(spans: Sequence[Span],
-                 events: Optional[Iterable[TraceEvent]] = None,
                  metrics: Optional[MetricsSampler] = None,
                  process_name: str = "repro",
                  pid: int = 1) -> Dict[str, Any]:
@@ -51,18 +49,13 @@ def chrome_trace(spans: Sequence[Span],
 
     Args:
         spans: finished (and possibly still-open) spans; open spans are
-            exported with zero duration and ``"open": true`` in args.
-        events: optional :class:`TraceEvent` records -> instant events,
-            one track per event source, sorted by (when, seq).
+            exported with zero duration and ``"open": true`` in args,
+            instant spans as thread-scoped ``i`` events.
         metrics: optional sampler whose series become counter events.
         process_name: name of the single exported process.
         pid: process id used for every event.
     """
-    event_list = sorted(events, key=lambda e: (e.when, e.seq)) \
-        if events is not None else []
-    tracks = [span.track for span in spans]
-    tracks += [f"trace:{event.source}" for event in event_list]
-    tids = _track_ids(tracks)
+    tids = _track_ids(span.track for span in spans)
 
     out: List[Dict[str, Any]] = [{
         "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
@@ -79,27 +72,18 @@ def chrome_trace(spans: Sequence[Span],
             args["parent_id"] = span.parent_id
         if not span.closed:
             args["open"] = True
-        out.append({
+        event: Dict[str, Any] = {
             "ph": "X",
             "name": span.name,
             "cat": str(args.get("cat", "span")),
             "ts": to_us(span.start),
-            "dur": to_us(span.duration),
-            "pid": pid,
-            "tid": tids[span.track],
-            "args": args,
-        })
-
-    for event in event_list:
-        out.append({
-            "ph": "i",
-            "s": "t",
-            "name": f"{event.source}/{event.kind}",
-            "ts": to_us(event.when),
-            "pid": pid,
-            "tid": tids[f"trace:{event.source}"],
-            "args": {"seq": event.seq, **event.detail},
-        })
+        }
+        if span.instant:
+            event.update(ph="i", s="t")
+        else:
+            event["dur"] = to_us(span.duration)
+        event.update(pid=pid, tid=tids[span.track], args=args)
+        out.append(event)
 
     if metrics is not None:
         for when, sample in metrics.samples:
@@ -171,13 +155,12 @@ def ensure_valid_chrome_trace(trace: Any) -> None:
 
 
 def write_chrome_trace(path: Any, spans: Sequence[Span],
-                       events: Optional[Iterable[TraceEvent]] = None,
                        metrics: Optional[MetricsSampler] = None,
                        **kwargs: Any) -> Dict[str, Any]:
     """Build, validate, and write a Chrome trace; returns the object."""
     from .writer import write_json
 
-    trace = chrome_trace(spans, events=events, metrics=metrics, **kwargs)
+    trace = chrome_trace(spans, metrics=metrics, **kwargs)
     ensure_valid_chrome_trace(trace)
     write_json(path, trace)
     return trace

@@ -44,10 +44,12 @@ class Span:
         start: begin timestamp in simulated ps.
         end: end timestamp, or None while still open.
         attrs: free-form attributes (method, pid, outcome, ...).
+        instant: a point event (see :meth:`SpanTracer.instant`), not an
+            interval; exporters render it as an instant.
     """
 
     __slots__ = ("span_id", "parent_id", "name", "track", "start", "end",
-                 "attrs")
+                 "attrs", "instant")
 
     def __init__(self, span_id: int, parent_id: Optional[int], name: str,
                  track: str, start: Time,
@@ -59,6 +61,7 @@ class Span:
         self.start = start
         self.end: Optional[Time] = None
         self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
+        self.instant = False
 
     @property
     def closed(self) -> bool:
@@ -216,6 +219,20 @@ class SpanTracer:
         if self.max_spans is not None and len(self._finished) > self.max_spans:
             del self._finished[0]
             self.dropped += 1
+
+    def instant(self, name: str, track: str = "main", **attrs: Any) -> Span:
+        """Record a point event at the current simulated time.
+
+        An instant is a zero-duration span: it gets an id, inherits the
+        current parent and any active trace context, and lands in the
+        finished list like any other span, but never joins the stack.
+        """
+        if not self.enabled:
+            return NULL_SPAN
+        span = self.begin(name, track=track, stack=False, **attrs)
+        span.instant = True
+        self.end(span)
+        return span
 
     @contextmanager
     def span(self, name: str, track: str = "main",

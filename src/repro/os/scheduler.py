@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
 from ..hw.cpu import Cpu, StepStatus, Thread
+from ..obs.spans import SpanTracer, disabled_tracer
 from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
-from ..sim.trace import TraceLog
 from .costs import OsCosts
 from .kernel import SwitchHook
 from .process import Process
@@ -121,12 +121,12 @@ class Scheduler:
 
     def __init__(self, sim: Simulator, cpu: Cpu, costs: OsCosts,
                  policy: SchedulingPolicy,
-                 trace: Optional[TraceLog] = None) -> None:
+                 spans: Optional[SpanTracer] = None) -> None:
         self.sim = sim
         self.cpu = cpu
         self.costs = costs
         self.policy = policy
-        self.trace = trace if trace is not None else TraceLog()
+        self.spans = spans if spans is not None else disabled_tracer()
         self.stats = StatRegistry("sched")
         self.hooks: List[SwitchHook] = []
         self._threads: List[Thread] = []
@@ -205,6 +205,7 @@ class Scheduler:
         old_proc = self._owner.get(id(old)) if old is not None else None
         for hook in self.hooks:
             hook(old_proc, new_proc)
-        self.trace.emit(self.sim.now, "sched", "switch",
-                        old=old_proc.pid if old_proc else None,
-                        new=new_proc.pid)
+        if self.spans.enabled:
+            self.spans.instant("sched.switch", track="sched",
+                               old=old_proc.pid if old_proc else None,
+                               new=new_proc.pid)

@@ -48,6 +48,10 @@ from .requests import OUTCOME_REJECTED, Completion, Request
 from .shard import ServiceShard, ShardConfig
 from .telemetry import FleetTelemetry
 
+#: Longest request line the TCP front end reads (the asyncio stream
+#: default); a longer line is discarded and answered with an error.
+MAX_LINE_BYTES = 2 ** 16
+
 
 @dataclass
 class ServiceConfig:
@@ -460,17 +464,27 @@ async def handle_connection(service: DmaService,
     """One client connection: a request object per line, completions out.
 
     ``{"op": "stats"}`` returns the service snapshot instead.  A line
-    that does not parse as a request, or names a shard out of range,
-    gets one ``{"error": ...}`` line back and the connection stays open.
+    that is longer than :data:`MAX_LINE_BYTES`, is not UTF-8 JSON, does
+    not parse as a request, or names a shard out of range gets one
+    ``{"error": ...}`` line back and the connection stays open.
     """
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # end of stream
+            except asyncio.LimitOverrunError:
+                await _discard_line(reader)
+                error = {"error": f"line longer than {MAX_LINE_BYTES} bytes"}
+                writer.write(json.dumps(error).encode("utf-8") + b"\n")
+                await writer.drain()
+                continue
             if not line:
                 break
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 response: Dict[str, Any] = {"error": f"bad json: {exc}"}
             else:
                 if isinstance(data, dict) and data.get("op") == "stats":
@@ -497,6 +511,18 @@ async def handle_connection(service: DmaService,
             await writer.drain()
     finally:
         writer.close()
+
+
+async def _discard_line(reader: "asyncio.StreamReader") -> None:
+    """Drop the rest of an overlong line, through its newline (or EOF)."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
 
 
 async def serve_forever(config: Optional[ServiceConfig] = None,
@@ -533,7 +559,8 @@ async def serve_forever(config: Optional[ServiceConfig] = None,
             await asyncio.sleep(1.0 / service.config.tick_hz)
             await service.advance_tick()
 
-    server = await asyncio.start_server(_handler, host=host, port=port)
+    server = await asyncio.start_server(_handler, host=host, port=port,
+                                        limit=MAX_LINE_BYTES)
     ticker = (asyncio.get_running_loop().create_task(_tick_driver())
               if tick_wall else None)
     if ready is not None:

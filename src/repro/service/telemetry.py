@@ -23,10 +23,10 @@ Two export paths:
   (:func:`repro.analysis.trends.service_trend_report`) CI uploads and
   the nightly soak appends to its history artifact;
 * :meth:`fleet_chrome_trace` — the front end's spans plus every shard's
-  spans, trace events, and metric series merged into one Chrome/Perfetto
+  spans and metric series merged into one Chrome/Perfetto
   trace: the front end is process 1, shard *i* is process ``i + 2``, and
   the merged stream is deterministically ordered with a stable global
-  ``(process, seq)`` tie-break so two same-seed runs export
+  ``(process, span_id)`` tie-break so two same-seed runs export
   byte-identical traces.
 """
 
@@ -57,16 +57,14 @@ def _fleet_order(event: Dict[str, Any]) -> tuple:
     """Deterministic global ordering of merged trace events.
 
     Metadata first (grouped by process), then everything else by
-    timestamp with a stable ``(pid, tid, seq-or-span_id)`` tie-break —
-    per-process ``seq`` counters collide after a merge, so the process
-    id is part of the key.
+    timestamp with a stable ``(pid, tid, span_id)`` tie-break —
+    per-process span ids collide after a merge, so the process id is
+    part of the key.
     """
-    args = event.get("args") or {}
-    tie = args.get("seq", args.get("span_id", 0))
     if event.get("ph") == "M":
         return (0, 0.0, event["pid"], event.get("tid", 0), 0, event["name"])
     return (1, event.get("ts", 0.0), event["pid"], event.get("tid", 0),
-            tie if isinstance(tie, (int, float)) else 0, event["name"])
+            event.get("args", {}).get("span_id", 0), event["name"])
 
 
 class FleetTelemetry:
@@ -254,13 +252,12 @@ class FleetTelemetry:
         """Merge the fleet's observability into one Chrome trace.
 
         The front end's spans (admission, queue wait, request roots)
-        become process :data:`FLEET_FRONTEND_PID`; each shard's spans,
-        trace-log events, and metric series become process
+        become process :data:`FLEET_FRONTEND_PID`; each shard's spans
+        and metric series become process
         ``shard.index + FLEET_SHARD_PID_BASE``.  The merged stream is
-        sorted with :func:`_fleet_order` — per-shard ``seq`` counters
-        collide after a merge, so ordering ties break on the stable
-        global ``(pid, tid, seq)`` key and every instant event also
-        carries a globally unique ``gseq`` in its args.
+        sorted with :func:`_fleet_order` — per-tracer span ids collide
+        after a merge, so ordering ties break on the stable global
+        ``(pid, tid, span_id)`` key.
         """
         merged: List[Dict[str, Any]] = []
         if frontend_spans:
@@ -270,17 +267,11 @@ class FleetTelemetry:
             merged.extend(trace["traceEvents"])
         for shard in shards:
             pid = shard.index + FLEET_SHARD_PID_BASE
-            events = (shard.ws.trace.events()
-                      if shard.ws.trace.enabled else None)
             trace = chrome_trace(
-                shard.ws.spans.finished(), events=events,
+                shard.ws.spans.finished(),
                 metrics=(shard.ws.metrics
                          if shard.ws.metrics.enabled else None),
                 process_name=f"shard{shard.index}", pid=pid)
-            for event in trace["traceEvents"]:
-                if event["ph"] == "i":
-                    event["args"]["gseq"] = (
-                        pid * 1_000_000 + event["args"]["seq"])
             merged.extend(trace["traceEvents"])
         merged.sort(key=_fleet_order)
         out = {"traceEvents": merged, "displayTimeUnit": "ns"}

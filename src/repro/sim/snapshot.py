@@ -1,48 +1,16 @@
-"""Snapshot/restore support for incremental re-exploration.
+"""Hashable canonical forms of component state.
 
-The exhaustive interleaving checker (:mod:`repro.verify.incremental`)
-walks the tree of stream choices depth-first and, instead of replaying
-every interleaving from a cold engine, delivers each access **once per
-tree edge**: it snapshots the component stack before the delivery and
-restores the parent state on backtrack.  Every component that holds
-mutable state the checker can touch implements the small
-:class:`Snapshottable` protocol below.
-
-Snapshot discipline (shared by all implementations):
-
-* ``snapshot()`` returns an opaque token capturing the component's
-  mutable state.  Tokens are cheap — append-only structures are
-  captured as *lengths* and truncated on restore, small scalars are
-  copied, and objects that are never mutated after creation (frozen
-  dataclasses, latched argument records) are captured by reference.
-* ``restore(token)`` returns the component to exactly the captured
-  state.  Restoring an older token after a newer one is legal (the DFS
-  backtracks through snapshots in LIFO order, but the tokens themselves
-  are not order-dependent).
-* Tokens are only valid for the component instance that produced them.
-
-:func:`freeze` converts a nest of snapshot-ish values into a hashable
-canonical form — the transposition table uses it to detect that two
-different prefixes converged on the same engine state.
+The incremental checker's transposition table (:mod:`repro.verify.
+incremental`) detects that two different prefixes converged on the same
+engine state by comparing fingerprints.  :func:`freeze` converts a nest
+of state values (for example a protocol FSM's ``snapshot_state()``) into
+a hashable canonical form for those fingerprints.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Protocol, runtime_checkable
-
-
-@runtime_checkable
-class Snapshottable(Protocol):
-    """A component whose mutable state can be captured and restored."""
-
-    def snapshot(self) -> Any:
-        """Capture the current mutable state as an opaque token."""
-        ...
-
-    def restore(self, token: Any) -> None:
-        """Return to the state captured by *token*."""
-        ...
+from typing import Any
 
 
 def freeze(value: Any) -> Any:

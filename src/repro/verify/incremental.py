@@ -23,10 +23,10 @@ resulting :class:`~repro.verify.model_check.CheckResult` (counts *and*
 retained examples) is identical to the naive oracle's, which the
 differential tests assert on every built-in scenario.
 
-Backtracking goes through the shared undo journal
-(:meth:`~repro.verify.interleave.ProtocolHarness.enable_journal`):
-snapshot is an O(1) mark and restore replays only the mutations made
-since it.  Two further strategies keep small and degenerate inputs fast
+Backtracking goes through the harness's shared undo journal
+(:meth:`~repro.verify.interleave.ProtocolHarness.snapshot`): snapshot
+is an O(1) mark and restore replays only the mutations made since it.
+Two further strategies keep small and degenerate inputs fast
 (see docs/verification.md "Small-scenario cutover"): scenarios under
 :data:`SMALL_SCENARIO_CUTOVER` orders skip the DFS for a journaled
 fast-replay of every order, and a node whose every remaining access
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import VerificationError
 from ..obs.profile import PhaseProfiler
@@ -85,14 +85,14 @@ class CheckStats:
     Attributes:
         leaves: interleavings covered (== naive total_interleavings).
         accesses_delivered: accesses actually delivered to the engine
-            (== tree edges explored + any forced prefix deliveries).
+            (== tree edges explored).
         naive_accesses: what the naive replayer would have delivered
             (leaves × interleaving length).
         snapshots / restores: backtracking operations performed.
         transposition_hits: subtrees reused from the table.
         transposition_entries: distinct states stored in the table.
         journal_entries_replayed: undo-journal entries replayed across
-            all restores (0 when the deep-copy path was used).
+            all restores.
         dirty_pages: RAM pages copied by the page-granular CoW layer.
         batched_deliveries: accesses delivered inside forced-tail
             batches (a single live stream leaves no choice points, so
@@ -149,7 +149,6 @@ def check_scenario_incremental(
         progress: Optional[Callable[[int], None]] = None,
         progress_every: int = 1000,
         stats: Optional[CheckStats] = None,
-        prefix_choices: Optional[Sequence[int]] = None,
         profiler: Optional[PhaseProfiler] = None,
 ) -> CheckResult:
     """Check a scenario with prefix sharing; naive-identical results.
@@ -169,11 +168,6 @@ def check_scenario_incremental(
             orders (transposition hits can make it jump).
         progress_every: callback period in interleavings.
         stats: optional :class:`CheckStats` to fill with work counters.
-        prefix_choices: optional forced stream-index choices delivered
-            before exploration begins — the parallel checker uses this
-            to hand each worker one top-level DFS branch.  The result
-            then covers (and counts) only that branch's subtree, with
-            examples still being complete interleavings.
         profiler: optional :class:`~repro.obs.profile.PhaseProfiler`;
             when given, accumulates wall time for the ``snapshot``,
             ``restore``, ``deliver``, and ``leaf`` phases and counts
@@ -182,8 +176,7 @@ def check_scenario_incremental(
             per operation.
 
     Raises:
-        VerificationError: if the interleaving count exceeds the cap, or
-            a prefix choice names an exhausted/unknown stream.
+        VerificationError: if the interleaving count exceeds the cap.
     """
     streams = scenario.streams
     lengths = [len(s) for s in streams]
@@ -197,7 +190,6 @@ def check_scenario_incremental(
         stats = CheckStats()
 
     harness = make_harness(scenario)
-    harness.enable_journal()
     positions = [0] * len(streams)
     final_status: Dict[int, int] = {}
     memo: Dict[Any, _Subtree] = {}
@@ -280,7 +272,7 @@ def check_scenario_incremental(
     # harness is never reconstructed (the naive oracle's main cost).
     # Iteration order matches the DFS/naive enumeration, so counts and
     # retained examples are bit-identical.
-    if prefix_choices is None and expected < SMALL_SCENARIO_CUTOVER:
+    if expected < SMALL_SCENARIO_CUTOVER:
         result = CheckResult(scenario=scenario.name)
         order_status: Dict[int, int] = {}
         for order in iter_interleavings_shared(streams):
@@ -420,24 +412,7 @@ def check_scenario_incremental(
             memo[key] = node
         return node
 
-    # Forced prefix (parallel branch fan-out): deliver, no backtracking.
-    prefix_accesses: List[AccessSpec] = []
-    for index in prefix_choices or ():
-        if not 0 <= index < len(streams):
-            raise VerificationError(
-                f"prefix choice {index} out of range for "
-                f"{len(streams)} streams")
-        pos = positions[index]
-        if pos >= lengths[index]:
-            raise VerificationError(
-                f"prefix choice {index} exhausts stream of "
-                f"length {lengths[index]}")
-        access = streams[index][pos]
-        deliver(access)
-        positions[index] = pos + 1
-        prefix_accesses.append(access)
-
-    root = dfs(total_length - len(prefix_accesses))
+    root = dfs(total_length)
     stats.leaves = root.leaves
     stats.naive_accesses = root.leaves * total_length
     stats.transposition_entries = len(memo)
@@ -447,7 +422,6 @@ def check_scenario_incremental(
     result.total_interleavings = root.leaves
     result.violating_interleavings = root.violating
     result.violations_by_property = dict(root.by_prop)
-    prefix = tuple(prefix_accesses)
-    result.examples = [(prefix + suffix, list(violations))
-                       for suffix, violations in root.examples]
+    result.examples = [(order, list(violations))
+                       for order, violations in root.examples]
     return result

@@ -76,7 +76,6 @@ class ProtocolHarness:
         self.page_bounded = page_bounded
         self._keys: Dict[int, int] = {}
         self._setups: List[SetupOp] = []
-        self.journal: Optional[UndoJournal] = None
         self.reset()
 
     def reset(self) -> None:
@@ -95,23 +94,17 @@ class ProtocolHarness:
             self.engine.install_key(ctx_id, key)
         for op in self._setups:
             self.protocol.apply_setup(op)
-        if self.journal is not None:
-            # The old journal's undo entries reference the components we
-            # just discarded — start a fresh one for the new stack.
-            self.enable_journal()
+        # Any old journal's undo entries reference the components just
+        # discarded; the next snapshot binds a fresh one.
+        self.journal: Optional[UndoJournal] = None
 
-    def enable_journal(self) -> UndoJournal:
-        """Switch snapshot/restore to the shared undo journal.
-
-        After this, :meth:`snapshot` is an O(1) ``journal.mark()`` and
-        :meth:`restore` replays only the mutations recorded since the
-        mark, instead of copying the whole component stack each way.
-        """
-        self.journal = UndoJournal()
-        self.sim.bind_journal(self.journal)
-        self.ram.bind_journal(self.journal)
-        self.engine.bind_journal(self.journal)
-        return self.journal
+    def _bind_journal(self) -> UndoJournal:
+        """Bind one shared undo journal across sim, RAM and engine."""
+        journal = self.journal = UndoJournal()
+        self.sim.bind_journal(journal)
+        self.ram.bind_journal(journal)
+        self.engine.bind_journal(journal)
+        return journal
 
     # -- delivery ----------------------------------------------------------
 
@@ -168,46 +161,42 @@ class ProtocolHarness:
 
     # -- snapshot/restore --------------------------------------------------
 
-    def snapshot(self):
+    def snapshot(self) -> int:
         """Capture the whole component stack (sim, RAM, engine, protocol).
 
         The incremental checker snapshots before each delivery and
         restores on backtrack, so each access is delivered once per tree
-        edge instead of once per interleaving it appears in.  With
-        :meth:`enable_journal` the capture is an O(1) journal mark;
-        otherwise each component copies its state.
+        edge instead of once per interleaving it appears in.  The first
+        snapshot after a reset binds a shared undo journal; every
+        snapshot is then an O(1) journal mark.
         """
-        if self.journal is not None:
-            return self.journal.mark()
-        return (self.sim.snapshot(), self.ram.snapshot(),
-                self.engine.snapshot())
+        journal = self.journal
+        if journal is None:
+            journal = self._bind_journal()
+        return journal.mark()
 
-    def restore(self, token) -> None:
-        """Return the full stack to a state captured by :meth:`snapshot`."""
-        if self.journal is not None:
-            self.journal.undo_to(token)
-            return
-        sim_token, ram_mark, engine_token = token
-        self.sim.restore(sim_token)
-        self.ram.restore(ram_mark)
-        self.engine.restore(engine_token)
+    def restore(self, token: int) -> None:
+        """Return the full stack to a state captured by :meth:`snapshot`.
+
+        Restore replays only the mutations recorded since the mark.
+        """
+        self.journal.undo_to(token)
 
     def fingerprint(self) -> Optional[tuple]:
         """Hashable capture of all behaviour-determining harness state.
 
-        Returns None when the state cannot be captured cheaply and
-        soundly (RAM differs from its checking-start content, or tracing
-        is on — a merged subtree would skip its trace emissions), which
-        tells the transposition table to skip memoization for this node.
+        RAM is covered relative to its content when the journal was
+        bound (so this binds it too, like :meth:`snapshot`).  Returns
+        None when the state cannot be captured cheaply and soundly (RAM
+        differs from that content, or spans are on — a merged subtree
+        would skip its span emissions), which tells the transposition
+        table to skip memoization for this node.
         """
-        if self.engine.trace.enabled:
+        if self.engine.spans.enabled:
             return None
-        if self.journal is not None:
-            # Un-undone page saves mean RAM content differs from its
-            # bind-time state, which the fingerprint does not cover.
-            if self.ram.outstanding_page_saves:
-                return None
-        elif self.ram.journal_writes:
+        if self.journal is None:
+            self._bind_journal()
+        elif self.ram.outstanding_page_saves:
             return None
         return (self.sim.now, self.sim.live_event_signature(),
                 self.engine.fingerprint())

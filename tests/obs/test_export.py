@@ -17,7 +17,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsSampler
 from repro.obs.spans import SpanTracer
-from repro.sim.trace import TraceLog
 
 
 class FakeClock:
@@ -64,19 +63,27 @@ def test_chrome_trace_span_fields():
 
 
 def test_chrome_trace_includes_events_and_counters():
-    spans, _, _, _ = make_spans()
-    log = TraceLog(enabled=True)
-    log.emit(500_000, "nic", "send", size=64)
     clock = FakeClock()
+    tracer = SpanTracer(clock=clock, enabled=True)
+    root = tracer.begin("dma", track="proc1")
+    clock.now = 500_000
+    send = tracer.instant("nic.send", track="nic", size=64)
+    clock.now = 1_000_000
+    tracer.end(root)
     sampler = MetricsSampler(clock, sources=[lambda: {"bytes": 7.0}],
                              interval=1)
     sampler.poll()
-    trace = chrome_trace(spans, events=log.events(), metrics=sampler)
+    trace = chrome_trace(tracer.all_spans(), metrics=sampler)
     assert validate_chrome_trace(trace) == []
     instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
     counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-    assert instants[0]["name"] == "nic/send"
-    assert instants[0]["args"]["seq"] == 0
+    assert len(instants) == 1
+    assert instants[0]["name"] == "nic.send"
+    assert instants[0]["s"] == "t" and "dur" not in instants[0]
+    assert instants[0]["ts"] == 0.5                     # us
+    assert instants[0]["args"]["span_id"] == send.span_id
+    assert instants[0]["args"]["parent_id"] == root.span_id
+    assert instants[0]["args"]["size"] == 64
     assert counters[0]["name"] == "bytes"
     assert counters[0]["args"]["value"] == 7.0
 

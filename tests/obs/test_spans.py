@@ -107,9 +107,25 @@ def test_disabled_tracer_returns_null_span():
     span = tracer.begin("anything", pid=3)
     assert span is NULL_SPAN
     tracer.end(span)  # no-op, no raise
+    assert tracer.instant("cpu.fault", track="cpu0") is NULL_SPAN
     assert len(tracer) == 0
     assert span.set(x=1) is span
     assert span.attrs == {}
+
+
+def test_instant_is_a_closed_point_under_the_current_parent(tracer, clock):
+    outer = tracer.begin("outer")
+    clock.now = 70
+    point = tracer.instant("fault.store.drop", track="faults", paddr=8)
+    assert point.instant and point.closed
+    assert (point.start, point.end) == (70, 70)
+    assert point.parent_id == outer.span_id
+    assert point.attrs == {"paddr": 8}
+    # An instant never joins the stack, so the outer span still closes.
+    assert tracer.current is outer
+    tracer.end(outer)
+    assert tracer.finished() == [point, outer]
+    assert not outer.instant
 
 
 def test_max_spans_ring_buffer_caps_finished(clock):

@@ -1,136 +1,75 @@
-"""Journaled snapshots are observationally identical to deep copies.
+"""Journaled snapshots agree with replaying from a fresh harness.
 
-The undo journal (``ProtocolHarness.enable_journal``) replaces the
-legacy copy-everything snapshot path with O(changes) mark/replay.  The
-checker's soundness rests on the two paths being indistinguishable:
-every observable bit of harness state — RAM bytes, simulator clock and
-event set, engine registers and tables, initiation records, protocol
-FSM scalars — must evolve identically under deliver, and return
-identically under restore, including arbitrarily nested snapshot
-stacks and with the observability layers (trace log, span tracer)
-recording.
+The incremental checker backtracks through the harness's undo journal
+instead of replaying every interleaving from ``reset()`` the way the
+naive oracle does.  Its soundness rests on the two being
+indistinguishable: every observable bit of harness state — RAM bytes,
+simulator clock and event set, engine registers and tables, initiation
+records, protocol FSM scalars — must match a fresh replay of the same
+prefix after every deliver and every restore, including arbitrarily
+nested snapshot stacks and with the span tracer recording.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import install_modern_setup, modern_stream_kwargs
-
-from repro.core.methods import METHODS, make_protocol
-from repro.verify.interleave import (
-    AccessSpec,
-    ProtocolHarness,
-    initiation_stream,
+from tests.conftest import (
+    draw_interleaving,
+    observe_harness as observe,
+    two_process_harness,
+    two_process_streams,
 )
 
-KEY_1, KEY_2 = 0xAAA111, 0xBBB222
-SRC_1, DST_1 = 0, 4096
-SRC_2, DST_2 = 8192, 12288
-SIZE = 256
+from repro.core.methods import METHODS
+from repro.verify.interleave import AccessSpec, ProtocolHarness
 
 
-def method_streams(method: str) -> List[List[AccessSpec]]:
-    """Two-process access streams exercising *method*'s recognizer."""
-    if method == "kernel":
-        return [
-            [AccessSpec(1, "store", SRC_1, SIZE),
-             AccessSpec(1, "load", SRC_1, final=True)],
-            [AccessSpec(2, "load", SRC_2, final=True)],
-        ]
-    kwargs_1 = {}
-    kwargs_2 = {}
-    if method == "keyed":
-        kwargs_1 = {"key": KEY_1, "ctx_id": 0}
-        kwargs_2 = {"key": KEY_2, "ctx_id": 1}
-    elif method == "extshadow":
-        kwargs_1 = {"ctx_id": 0}
-        kwargs_2 = {"ctx_id": 1}
-    else:
-        kwargs_1, kwargs_2 = modern_stream_kwargs(method)
-    return [
-        initiation_stream(method, 1, SRC_1, DST_1, SIZE, **kwargs_1),
-        initiation_stream(method, 2, SRC_2, DST_2, SIZE, **kwargs_2),
-    ]
+def replay(harness: ProtocolHarness,
+           prefix: Sequence[AccessSpec]) -> Optional[int]:
+    """The naive oracle's reference: reset, then deliver *prefix*.
 
-
-def make_method_harness(method: str, journaled: bool) -> ProtocolHarness:
-    harness = ProtocolHarness(lambda: make_protocol(method))
-    if method == "keyed":
-        harness.install_key(0, KEY_1)
-        harness.install_key(1, KEY_2)
-    install_modern_setup(harness, method)
-    if journaled:
-        harness.enable_journal()
-    return harness
-
-
-def observe(harness: ProtocolHarness) -> Tuple:
-    """Every observable bit of harness state, as comparable values.
-
-    Deliberately identical between journal and legacy modes — nothing
-    here reads the journal, so two harnesses in different modes can be
-    compared directly.
+    Returns the status of the last delivery (None for an empty prefix).
     """
-    scalars = tuple(sorted(
-        (name, value) for name, value in vars(harness.protocol).items()
-        if isinstance(value, (int, str, bool, type(None)))))
-    return (
-        harness.ram.read(0, harness.ram_size),
-        harness.sim.now,
-        harness.sim.pending,
-        harness.sim.events_fired,
-        harness.sim.live_event_signature(),
-        harness.engine.fingerprint(),
-        tuple(harness.engine.initiations),
-        harness.engine.protocol_violations,
-        scalars,
-    )
-
-
-def interleaving(data, streams: List[List[AccessSpec]]) -> List[AccessSpec]:
-    """Draw one random interleaving of *streams* (streams kept in order)."""
-    order: List[AccessSpec] = []
-    positions = [0] * len(streams)
-    while True:
-        live = [i for i, (p, s) in enumerate(zip(positions, streams))
-                if p < len(s)]
-        if not live:
-            return order
-        index = data.draw(st.sampled_from(live))
-        order.append(streams[index][positions[index]])
-        positions[index] += 1
+    harness.reset()
+    status = None
+    for access in prefix:
+        status = harness.deliver(access)
+    return status
 
 
 @settings(max_examples=40, deadline=None)
 @given(method=st.sampled_from(sorted(METHODS)), data=st.data())
-def test_journaled_matches_legacy_random_walk(method, data):
-    """Journal and deep-copy harnesses stay in observational lockstep.
+def test_journaled_matches_fresh_replay_random_walk(method, data):
+    """The journaled harness tracks a fresh replay step for step.
 
-    For every access of a random interleaving, both harnesses do
-    snapshot -> deliver -> compare -> restore -> compare -> re-deliver,
-    so divergence is caught at the exact step it appears.
+    For every access of a random interleaving, the journaled harness
+    does snapshot -> deliver -> compare -> restore -> compare ->
+    re-deliver -> compare, each time against a journal-free harness
+    that replays the same prefix from ``reset()``, so divergence is
+    caught at the exact step it appears.
     """
-    jh = make_method_harness(method, journaled=True)
-    lh = make_method_harness(method, journaled=False)
-    assert observe(jh) == observe(lh)
-    for access in interleaving(data, method_streams(method)):
-        before = observe(lh)
-        j_token, l_token = jh.snapshot(), lh.snapshot()
-        j_status, l_status = jh.deliver(access), lh.deliver(access)
-        assert j_status == l_status
-        assert observe(jh) == observe(lh)
-        jh.restore(j_token)
-        lh.restore(l_token)
-        assert observe(jh) == before
-        assert observe(lh) == before
-        jh.deliver(access)  # commit the step and walk one level deeper
-        lh.deliver(access)
-        assert observe(jh) == observe(lh)
+    journaled = two_process_harness(method)
+    fresh = two_process_harness(method)
+    prefix: List[AccessSpec] = []
+    assert observe(journaled) == observe(fresh)
+    for access in draw_interleaving(data, two_process_streams(method)):
+        token = journaled.snapshot()
+        status = journaled.deliver(access)
+        assert status == replay(fresh, prefix + [access])
+        assert observe(journaled) == observe(fresh)
+        journaled.restore(token)
+        replay(fresh, prefix)
+        assert observe(journaled) == observe(fresh)
+        journaled.deliver(access)  # commit the step, walk one level deeper
+        prefix.append(access)
+        replay(fresh, prefix)
+        assert observe(journaled) == observe(fresh)
+    assert fresh.journal is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,8 +80,8 @@ def test_nested_snapshot_stack_unwinds_exactly(method, data):
     Mirrors the checker's DFS: marks nest arbitrarily deep, each undo
     must land bit-exactly on the state its mark captured.
     """
-    harness = make_method_harness(method, journaled=True)
-    order = interleaving(data, method_streams(method))
+    harness = two_process_harness(method)
+    order = draw_interleaving(data, two_process_streams(method))
     stack: List[Tuple[object, Tuple]] = []
     cursor = 0
     for _ in range(3 * len(order)):
@@ -168,23 +107,23 @@ def test_nested_snapshot_stack_unwinds_exactly(method, data):
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_spans_and_trace_survive_journal_restore(method):
-    """Observability state is part of the journal's restore contract.
+    """The span trace is part of the journal's restore contract.
 
-    With spans and tracing enabled, a deliver mutates the span tracer
-    (open/finished spans, id counter) and appends trace events; undoing
-    to a mark must put both back exactly.
+    With spans enabled, a deliver mutates the span tracer (open and
+    finished spans, instants, the id counter); undoing to a mark must
+    put all of it back exactly.
     """
-    harness = make_method_harness(method, journaled=True)
+    harness = two_process_harness(method)
     engine = harness.engine
     engine.spans.enabled = True
-    engine.trace.enabled = True
 
     def obs_state() -> Tuple:
         spans = engine.spans
         return (spans._next_id, list(spans._finished), dict(spans._open),
-                list(spans._stack), spans.dropped, len(engine.trace))
+                list(spans._stack), spans.dropped)
 
-    order = method_streams(method)[0] + method_streams(method)[1]
+    streams = two_process_streams(method)
+    order = streams[0] + streams[1]
     harness.deliver(order[0])  # snapshot from a non-virgin state
     before = obs_state()
     token = harness.snapshot()

@@ -11,6 +11,7 @@ from repro.service.admission import (
     REASON_SHUTDOWN,
 )
 from repro.service.frontend import (
+    MAX_LINE_BYTES,
     DmaService,
     ServiceConfig,
     handle_connection,
@@ -238,22 +239,42 @@ class _CapturingWriter:
 
 
 def _converse(lines, **overrides):
-    """Feed *lines* to one in-process connection; return its replies."""
+    """Feed *lines* to one in-process connection; return its replies.
+
+    Each line is raw bytes, a str, or a JSON value to encode.  A tuple
+    of byte chunks is fed one chunk per event-loop turn, so the handler
+    sees the line arrive in pieces.
+    """
     async def scenario():
         service = DmaService(small_config(**overrides))
         await service.start()
-        reader = asyncio.StreamReader()
-        for line in lines:
-            raw = line if isinstance(line, str) else json.dumps(line)
-            reader.feed_data(raw.encode() + b"\n")
-        reader.feed_eof()
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
         writer = _CapturingWriter()
-        await handle_connection(service, reader, writer)
+        handler = asyncio.ensure_future(
+            handle_connection(service, reader, writer))
+        for line in lines:
+            if isinstance(line, tuple):
+                for chunk in line:
+                    reader.feed_data(chunk)
+                    await asyncio.sleep(0)
+                raw = b""
+            elif isinstance(line, bytes):
+                raw = line
+            else:
+                raw = (line if isinstance(line, str)
+                       else json.dumps(line)).encode()
+            reader.feed_data(raw + b"\n")
+        reader.feed_eof()
+        await handler
         await service.shutdown(drain=True)
         assert writer.closed
         return [json.loads(line) for line in writer.lines]
 
     return run(scenario())
+
+
+#: A request line one byte past the front end's line limit.
+OVERLONG = b'{"tenant": "' + b"a" * MAX_LINE_BYTES + b'", "size": 64}'
 
 
 @pytest.mark.parametrize("bad, reason", [
@@ -267,6 +288,14 @@ def _converse(lines, **overrides):
     ({"tenant": "a", "size": 64,
       "trace": {"trace_id": "t", "request_id": "x"}}, "request_id"),
     ([1, 2, 3], "JSON object"),
+    pytest.param(b'{"tenant": "\xff\xfe", "size": 64}', "bad json",
+                 id="non-utf8-string"),
+    pytest.param(b"\xc3(", "bad json", id="non-utf8-line"),
+    pytest.param(OVERLONG, f"longer than {MAX_LINE_BYTES}", id="overlong"),
+    # The same line arriving in pieces, so the limit trips mid-line.
+    pytest.param(
+        tuple(OVERLONG[i:i + 4096] for i in range(0, len(OVERLONG), 4096)),
+        f"longer than {MAX_LINE_BYTES}", id="overlong-chunked"),
 ])
 def test_mistyped_fields_get_one_error_line_and_the_connection_survives(
         bad, reason):
@@ -278,3 +307,4 @@ def test_mistyped_fields_get_one_error_line_and_the_connection_survives(
     assert served["ok"] is True
     assert served["tenant"] == "ok"
     assert served["bytes_moved"] == 256
+

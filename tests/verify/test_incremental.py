@@ -14,7 +14,7 @@ import pytest
 from repro.errors import VerificationError
 from repro.verify.adversary import builtin_scenarios, fig8_scenario
 from repro.verify.incremental import CheckStats, check_scenario_incremental
-from repro.verify.model_check import check_scenario
+from repro.verify.model_check import check_scenario, make_harness
 
 SCENARIOS = builtin_scenarios()
 SCENARIO_IDS = [s.name for s in SCENARIOS]
@@ -81,30 +81,26 @@ def test_max_interleavings_cap_raises():
         check_scenario_incremental(fig8_scenario(2), max_interleavings=100)
 
 
-def test_prefix_choices_partition_the_tree():
-    """Forcing each top-level branch partitions counts exactly."""
-    scenario = fig8_scenario(2)
-    whole = check_scenario_incremental(scenario)
-    branches = [
-        check_scenario_incremental(scenario, prefix_choices=[index])
-        for index in range(len(scenario.streams))
-    ]
-    assert (sum(b.total_interleavings for b in branches)
-            == whole.total_interleavings)
-    assert (sum(b.violating_interleavings for b in branches)
-            == whole.violating_interleavings)
-    # Branch examples are complete interleavings starting with the
-    # forced access.
-    for index, branch in enumerate(branches):
-        for order, _violations in branch.examples:
-            assert order[0] == scenario.streams[index][0]
+def test_spans_on_the_engine_disable_memoization_not_results(monkeypatch):
+    """Span emission is harness state the fingerprint does not cover: a
+    merged subtree would skip its spans, so the checker must refuse to
+    memoize while the engine records spans, and return the same result.
+    """
+    from repro.verify import incremental
 
-
-def test_prefix_choices_validation():
     scenario = fig8_scenario(1)
-    with pytest.raises(VerificationError):
-        check_scenario_incremental(scenario, prefix_choices=[99])
-    n_victim = len(scenario.streams[0])
-    with pytest.raises(VerificationError):
-        check_scenario_incremental(scenario,
-                                   prefix_choices=[0] * (n_victim + 1))
+    plain_stats = CheckStats()
+    plain = check_scenario_incremental(scenario, stats=plain_stats)
+    assert plain_stats.transposition_hits > 0
+
+    def traced_harness(scen):
+        harness = make_harness(scen)
+        harness.engine.spans.enabled = True
+        return harness
+
+    monkeypatch.setattr(incremental, "make_harness", traced_harness)
+    traced_stats = CheckStats()
+    traced = check_scenario_incremental(scenario, stats=traced_stats)
+    assert traced == plain == check_scenario(scenario)
+    assert traced_stats.transposition_hits == 0
+    assert traced_stats.transposition_entries == 0

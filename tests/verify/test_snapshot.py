@@ -3,10 +3,11 @@
 The incremental checker's correctness rests on one invariant: after
 ``snapshot(); deliver(access); restore(token)`` the whole harness —
 simulator, RAM, DMA engine, and protocol recognizer — is byte-identical
-to the state before the snapshot.  These tests assert that invariant at
-every depth of a delivery sequence, for every protocol registered in
-:mod:`repro.core.methods`, both deterministically and under
-hypothesis-driven random interleavings.
+to the state before the snapshot.  Snapshots are undo-journal marks (the
+first one binds the harness's journal), so these tests exercise the
+journal's restore contract at every depth of a delivery sequence, for
+every protocol registered in :mod:`repro.core.methods`, both
+deterministically and under hypothesis-driven random interleavings.
 """
 
 from __future__ import annotations
@@ -17,80 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import install_modern_setup, modern_stream_kwargs
-
-from repro.core.methods import METHODS, make_protocol
-from repro.verify.interleave import (
-    AccessSpec,
-    ProtocolHarness,
-    initiation_stream,
+from tests.conftest import (
+    draw_interleaving,
+    observe_harness,
+    two_process_harness,
+    two_process_streams,
 )
 
-KEY_1, KEY_2 = 0xAAA111, 0xBBB222
-
-SRC_1, DST_1 = 0, 4096
-SRC_2, DST_2 = 8192, 12288
-SIZE = 256
-
-
-def method_streams(method: str) -> List[List[AccessSpec]]:
-    """Two-process access streams exercising *method*'s recognizer."""
-    if method == "kernel":
-        # No user-level stream exists; the recognizer still counts the
-        # (ignored) shadow accesses, which snapshot must cover.
-        return [
-            [AccessSpec(1, "store", SRC_1, SIZE),
-             AccessSpec(1, "load", SRC_1, final=True)],
-            [AccessSpec(2, "load", SRC_2, final=True)],
-        ]
-    kwargs_1 = {}
-    kwargs_2 = {}
-    if method == "keyed":
-        kwargs_1 = {"key": KEY_1, "ctx_id": 0}
-        kwargs_2 = {"key": KEY_2, "ctx_id": 1}
-    elif method == "extshadow":
-        kwargs_1 = {"ctx_id": 0}
-        kwargs_2 = {"ctx_id": 1}
-    else:
-        kwargs_1, kwargs_2 = modern_stream_kwargs(method)
-    return [
-        initiation_stream(method, 1, SRC_1, DST_1, SIZE, **kwargs_1),
-        initiation_stream(method, 2, SRC_2, DST_2, SIZE, **kwargs_2),
-    ]
-
-
-def make_method_harness(method: str) -> ProtocolHarness:
-    harness = ProtocolHarness(lambda: make_protocol(method))
-    if method == "keyed":
-        harness.install_key(0, KEY_1)
-        harness.install_key(1, KEY_2)
-    install_modern_setup(harness, method)
-    return harness
+from repro.core.methods import METHODS
+from repro.verify.interleave import AccessSpec, ProtocolHarness
 
 
 def capture(harness: ProtocolHarness) -> Tuple:
-    """Every observable bit of harness state, as comparable values.
-
-    ``harness.fingerprint()`` covers the behaviour-determining state
-    (engine registers, latched transfers, initiation records, protocol
-    FSM).  On top of that we compare raw RAM bytes, the simulator's
-    counters, and *every* scalar attribute of the protocol object —
-    fingerprints deliberately exclude pure statistics counters, but the
-    round-trip property must restore even those.
-    """
-    scalars = tuple(sorted(
-        (name, value) for name, value in vars(harness.protocol).items()
-        if isinstance(value, (int, str, bool, type(None)))))
-    return (
-        harness.fingerprint(),
-        harness.ram.read(0, harness.ram_size),
-        harness.sim.now,
-        harness.sim.pending,
-        harness.sim.events_fired,
-        scalars,
-        tuple(harness.engine.initiations),
-        harness.engine.protocol_violations,
-    )
+    """Observable state plus the harness's own memoization fingerprint."""
+    return (harness.fingerprint(), observe_harness(harness))
 
 
 def zipper(streams: List[List[AccessSpec]]) -> List[AccessSpec]:
@@ -108,10 +49,11 @@ def zipper(streams: List[List[AccessSpec]]) -> List[AccessSpec]:
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_snapshot_deliver_restore_roundtrip(method):
     """snapshot(); deliver(a); restore() is a no-op at every depth."""
-    harness = make_method_harness(method)
-    for access in zipper(method_streams(method)):
+    harness = two_process_harness(method)
+    for access in zipper(two_process_streams(method)):
         before = capture(harness)
         token = harness.snapshot()
+        assert harness.journal is not None
         harness.deliver(access)
         harness.restore(token)
         assert capture(harness) == before, (
@@ -123,8 +65,8 @@ def test_snapshot_deliver_restore_roundtrip(method):
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_snapshot_restore_across_many_deliveries(method):
     """A root snapshot survives an arbitrarily deep excursion."""
-    harness = make_method_harness(method)
-    order = zipper(method_streams(method))
+    harness = two_process_harness(method)
+    order = zipper(two_process_streams(method))
     harness.deliver(order[0])  # snapshot from a non-virgin state
     before = capture(harness)
     token = harness.snapshot()
@@ -138,17 +80,8 @@ def test_snapshot_restore_across_many_deliveries(method):
 @given(method=st.sampled_from(sorted(METHODS)), data=st.data())
 def test_snapshot_roundtrip_random_interleavings(method, data):
     """The round-trip property under random stream interleavings."""
-    harness = make_method_harness(method)
-    streams = method_streams(method)
-    positions = [0] * len(streams)
-    while True:
-        live = [i for i, (p, s) in enumerate(zip(positions, streams))
-                if p < len(s)]
-        if not live:
-            break
-        index = data.draw(st.sampled_from(live))
-        access = streams[index][positions[index]]
-        positions[index] += 1
+    harness = two_process_harness(method)
+    for access in draw_interleaving(data, two_process_streams(method)):
         before = capture(harness)
         token = harness.snapshot()
         harness.deliver(access)
