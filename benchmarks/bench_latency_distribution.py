@@ -14,13 +14,13 @@ from repro.analysis.report import Table, format_us
 from repro.core.api import DmaChannel
 from repro.core.machine import MachineConfig, Workstation
 from repro.core.methods import TABLE1_METHODS
-from repro.sim.stats import LatencyStat
+from repro.obs.histogram import LatencyHistogram
 from repro.units import to_us
 
 SAMPLES = 200
 
 
-def distribution(method: str) -> LatencyStat:
+def distribution(method: str) -> LatencyHistogram:
     ws = Workstation(MachineConfig(method=method))
     proc = ws.kernel.spawn()
     if method != "kernel":
@@ -34,38 +34,38 @@ def distribution(method: str) -> LatencyStat:
     chan = DmaChannel(ws, proc)
     chan.initiate(src.vaddr, dst.vaddr, 64)  # warm-up
     ws.drain()
-    stat = LatencyStat(method, keep_samples=True)
+    hist = LatencyHistogram()
     for index in range(SAMPLES):
         offset = (index % 128) * 64
         result = chan.initiate(src.vaddr + offset, dst.vaddr + offset,
                                64)
         assert result.ok
-        stat.record(result.elapsed)
+        hist.record(to_us(result.elapsed))
         ws.drain()
-    return stat
+    return hist
 
 
 def test_latency_distributions(record, benchmark):
     def run():
         return {m: distribution(m) for m in TABLE1_METHODS}
 
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    hists = benchmark.pedantic(run, rounds=1, iterations=1)
     table = Table(
         f"Initiation latency distribution over {SAMPLES} samples (us)",
-        ["method", "min", "p50", "p99", "max", "stddev"])
+        ["method", "min", "p50", "p99", "max", "mean"])
     for method in TABLE1_METHODS:
-        stat = stats[method]
+        hist = hists[method]
         table.add_row(method,
-                      format_us(to_us(stat.min), 2),
-                      format_us(to_us(stat.percentile(50)), 2),
-                      format_us(to_us(stat.percentile(99)), 2),
-                      format_us(to_us(stat.max), 2),
-                      format_us(stat.stddev / 1e6, 3))
+                      format_us(hist.min_us, 2),
+                      format_us(hist.percentile(50), 2),
+                      format_us(hist.percentile(99), 2),
+                      format_us(hist.max_us, 2),
+                      format_us(hist.mean_us, 3))
     record("latency_distribution", table.render())
 
     for method in TABLE1_METHODS:
-        stat = stats[method]
+        hist = hists[method]
         # Warm steady state: the spread is tiny relative to the mean.
-        assert stat.max - stat.min <= 0.1 * stat.mean, method
+        assert hist.max_us - hist.min_us <= 0.1 * hist.mean_us, method
         # And the median equals Table 1's mean story.
-        assert stat.percentile(50) == stat.percentile(99)
+        assert hist.percentile(50) == hist.percentile(99)

@@ -14,11 +14,8 @@ Run from the repo root::
 ``--no-incremental`` times only the naive oracle (mode "oracle" in the
 JSON) — useful to sanity-check the baseline on a new machine.
 
-``--profile`` runs one extra (untimed) incremental pass per scenario
-with a :class:`repro.obs.profile.PhaseProfiler` attached and adds the
-per-phase wall-time breakdown (snapshot / restore / deliver / leaf,
-plus expansion and transposition-hit counts) to each scenario's JSON
-record.  The timed passes stay unprofiled so the numbers are clean.
+For a per-layer wall-time breakdown of the checker, run
+``python3 perfbench/run.py --workload hunt --trace 1``.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ if __package__ in (None, ""):  # `python benchmarks/perf_report.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                            / "src"))
 
-from repro.obs.profile import PhaseProfiler
 from repro.verify.adversary import builtin_scenarios, fig8_scenario
 from repro.verify.incremental import CheckStats, check_scenario_incremental
 from repro.verify.model_check import CheckResult, Scenario, check_scenario
@@ -67,8 +63,7 @@ def _time(fn: Callable[[], CheckResult],
 
 
 def bench_scenario(scenario: Scenario, repeats: int,
-                   incremental: bool = True,
-                   profile: bool = False) -> dict:
+                   incremental: bool = True) -> dict:
     """Benchmark one scenario; returns its JSON record."""
     naive_s, naive = _time(lambda: check_scenario(scenario), repeats)
     orders = naive.total_interleavings
@@ -105,18 +100,12 @@ def bench_scenario(scenario: Scenario, repeats: int,
     }
     entry["speedup"] = round(naive_s / inc_s, 2) if inc_s else None
     entry["identical"] = inc == naive
-    if profile:
-        # Separate untimed pass so profiling never skews the timings.
-        profiler = PhaseProfiler()
-        check_scenario_incremental(scenario, profiler=profiler)
-        entry["profile"] = profiler.report()
     return entry
 
 
 def build_report(quick: bool = False,
                  incremental: bool = True,
-                 repeats: Optional[int] = None,
-                 profile: bool = False) -> dict:
+                 repeats: Optional[int] = None) -> dict:
     """Run the full benchmark and return the JSON-ready report dict."""
     if repeats is None:
         repeats = 1 if quick else 3
@@ -125,8 +114,7 @@ def build_report(quick: bool = False,
         wanted = {"fig5-repeated3", "fig6-repeated4", WORST_CASE_NAME,
                   "pair-race-keyed"}
         scenarios = [s for s in scenarios if s.name in wanted]
-    entries = [bench_scenario(s, repeats, incremental=incremental,
-                              profile=profile and incremental)
+    entries = [bench_scenario(s, repeats, incremental=incremental)
                for s in scenarios]
 
     report = {
@@ -134,7 +122,6 @@ def build_report(quick: bool = False,
         "generated_by": "benchmarks/perf_report.py",
         "mode": "incremental" if incremental else "oracle",
         "quick": quick,
-        "profiled": bool(profile and incremental),
         "python": sys.version.split()[0],
         "scenarios": entries,
     }
@@ -167,16 +154,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         type=int, default=None,
                         help="median-of-N rounds per scenario (default: "
                              "1 in --quick mode, 3 otherwise)")
-    parser.add_argument("--profile", action="store_true",
-                        help="add per-phase wall-time breakdowns "
-                             "(snapshot/restore/deliver/leaf) to the JSON")
     args = parser.parse_args(argv)
     if args.repeat is not None and args.repeat < 1:
         parser.error(f"--repeat must be >= 1, got {args.repeat}")
 
     report = build_report(quick=args.quick,
                           incremental=not args.no_incremental,
-                          repeats=args.repeat, profile=args.profile)
+                          repeats=args.repeat)
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -188,11 +172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f" ord/s  {entry['speedup']:>6}x"
                      f"  identical={entry['identical']}")
         print(line)
-        if "profile" in entry:
-            detail = ", ".join(
-                f"{name} {info['seconds']:.3f}s/{info['count']}"
-                for name, info in entry["profile"].items())
-            print(f"{'':34s} profile: {detail}")
     if "worst_case" in report:
         wc = report["worst_case"]
         print(f"worst case {wc['name']}: {wc['speedup']}x "

@@ -26,6 +26,7 @@ against the committed ``BENCH_service.json`` baseline
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -175,41 +176,6 @@ def crossover_table(methods: Sequence[str], links: Sequence[LinkSpec],
 # Service trend analysis (the always-on DMA service's telemetry format)
 # ----------------------------------------------------------------------
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The *q*-th percentile (0..100) by linear interpolation.
-
-    Accepts unsorted input; an empty sequence maps to 0.0 so trend
-    windows with no completions stay representable.
-    """
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (len(ordered) - 1) * q / 100.0
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
-
-
-def latency_summary(values: Sequence[float]) -> Dict[str, float]:
-    """p50/p95/p99 plus mean and max of a latency sample, in one dict."""
-    if not values:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0,
-                "max": 0.0, "n": 0}
-    return {
-        "p50": round(percentile(values, 50.0), 3),
-        "p95": round(percentile(values, 95.0), 3),
-        "p99": round(percentile(values, 99.0), 3),
-        "mean": round(sum(values) / len(values), 3),
-        "max": round(max(values), 3),
-        "n": len(values),
-    }
-
-
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)``.
 
@@ -320,7 +286,7 @@ def service_trend_report(points: Sequence[ServiceTrendPoint],
     windows = [p.to_dict() for p in points]
     goodputs = [p.goodput_mbytes_per_s for p in points
                 if p.completed or p.failed]
-    median_goodput = percentile(goodputs, 50.0) if goodputs else 0.0
+    median_goodput = statistics.median(goodputs) if goodputs else 0.0
     stalls = [p.t_s for p in points
               if (p.completed or p.failed)
               and median_goodput > 0.0
@@ -431,9 +397,9 @@ def robust_z(values: Sequence[float]) -> List[float]:
     xs = [float(v) for v in values]
     if not xs:
         return []
-    med = percentile(xs, 50.0)
+    med = statistics.median(xs)
     deviations = [abs(x - med) for x in xs]
-    mad = percentile(deviations, 50.0)
+    mad = statistics.median(deviations)
     scale = 1.4826 * mad
     if scale == 0.0:
         mean_dev = sum(deviations) / len(deviations)

@@ -378,7 +378,6 @@ def cmd_hunt(args: argparse.Namespace) -> None:
     """Synthesize counterexamples (and run the k-fault campaign)."""
     import itertools
 
-    from .obs.profile import PhaseProfiler
     from .obs.writer import write_json
     from .obs.spans import SpanTracer
     from .verify.faulted import FAULT_HARDENED_METHODS
@@ -391,8 +390,7 @@ def cmd_hunt(args: argparse.Namespace) -> None:
                         max_candidates=args.max_candidates)
     ticks = itertools.count()
     tracer = SpanTracer(clock=lambda: next(ticks), enabled=True)
-    profiler = PhaseProfiler()
-    reports = run_hunt(methods, config, tracer=tracer, profiler=profiler)
+    reports = run_hunt(methods, config, tracer=tracer)
     tracer.require_balanced()
 
     table = Table(f"Counterexample hunt (seed {args.seed})",
@@ -430,7 +428,7 @@ def cmd_hunt(args: argparse.Namespace) -> None:
                             if m in by_method] or None
         kfault_reports = run_k_fault_campaign(
             campaign_methods, k=args.k_faults, max_combos=args.max_combos,
-            seed=args.seed, profiler=profiler)
+            seed=args.seed)
         ktable = Table(f"k-fault campaign (k={args.k_faults})",
                        ["method", "combos", "skipped", "interleavings",
                         "verdict"])
@@ -457,7 +455,6 @@ def cmd_hunt(args: argparse.Namespace) -> None:
             "kfault": {m: r.to_dict()
                        for m, r in kfault_reports.items()},
             "spans": [s.to_dict() for s in tracer.finished()],
-            "phases": profiler.report(),
         }
         write_json(args.output, payload)
         print(f"wrote {args.output}: {len(reports)} hunts, "

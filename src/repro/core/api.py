@@ -614,7 +614,6 @@ class DmaChannel:
                           fell_back: bool, transfer: Optional[Transfer],
                           start: Time) -> ReliableResult:
         elapsed = self.ws.sim.now - start
-        self.ws.stats.latency("dma.recovery").record(elapsed)
         if attempts > 1 or fell_back:
             self.ws.stats.counter("dma.recoveries").add()
         return ReliableResult(initiation, attempts, fell_back,

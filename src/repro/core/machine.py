@@ -245,7 +245,7 @@ class Workstation:
     # ------------------------------------------------------------------
 
     def _stat_gauges(self) -> "dict[str, float]":
-        """Every StatRegistry counter and latency, as sampler gauges."""
+        """Every StatRegistry counter, as sampler gauges."""
         return self.stats.snapshot()
 
     def _engine_gauges(self) -> "dict[str, float]":

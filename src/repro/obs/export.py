@@ -23,8 +23,8 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from ..errors import ObservabilityError
-from ..sim.stats import LatencyStat
 from ..units import to_us
+from .histogram import LatencyHistogram
 from .metrics import MetricsSampler
 from .spans import Span
 
@@ -205,24 +205,22 @@ def span_summary_table(spans: Sequence[Span],
     """
     from ..analysis.report import Table
 
-    groups: Dict[Tuple[str, str], LatencyStat] = {}
+    groups: Dict[Tuple[str, str], LatencyHistogram] = {}
     for span in spans:
         if not span.closed:
             continue
         if name is not None and span.name != name:
             continue
         key = _group_key(span)
-        stat = groups.get(key)
-        if stat is None:
-            stat = groups[key] = LatencyStat(
-                f"{key[0]}/{key[1]}", keep_samples=True)
-        stat.record(span.duration)
+        hist = groups.get(key)
+        if hist is None:
+            hist = groups[key] = LatencyHistogram()
+        hist.record(to_us(span.duration))
     table = Table("Span durations by (protocol, outcome)",
                   ["protocol", "outcome", "count", "mean (us)"]
                   + [f"p{p:g} (us)" for p in percentiles])
-    for (protocol, outcome), stat in sorted(groups.items()):
-        table.add_row(protocol, outcome, stat.count,
-                      f"{stat.mean_us:.3f}",
-                      *(f"{to_us(stat.percentile(p)):.3f}"
-                        for p in percentiles))
+    for (protocol, outcome), hist in sorted(groups.items()):
+        table.add_row(protocol, outcome, hist.count,
+                      f"{hist.mean_us:.3f}",
+                      *(f"{hist.percentile(p):.3f}" for p in percentiles))
     return table

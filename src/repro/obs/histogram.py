@@ -16,15 +16,14 @@ recent tail trace id — :meth:`exemplars` returns them, so any tail
 sample in a dashboard links back to its full causal tree via
 :func:`~repro.obs.context.causal_tree`.
 
-**Interpolation convention.**  :meth:`percentile` mirrors
-:meth:`repro.sim.stats.LatencyStat.percentile` (and
-:func:`repro.analysis.trends.percentile`) exactly: the *q*-th
-percentile is the linear interpolation between the samples at ranks
-``floor(r)`` and ``ceil(r)`` where ``r = (n - 1) * q / 100`` — each
-sample approximated by a bucket-uniform position estimate.
-:meth:`percentile_error_bound` returns the worst-case absolute error
-of that approximation, which is what the cross-check in
-``FleetTelemetry.close_window`` asserts against.
+**Interpolation convention.**  The *q*-th percentile is the linear
+interpolation between the samples at ranks ``floor(r)`` and ``ceil(r)``
+where ``r = (n - 1) * q / 100`` (the convention of NumPy's default
+``linear`` method) — each sample approximated by a bucket-uniform
+position estimate.  :meth:`percentile_error_bound` returns the
+worst-case absolute error of that approximation against the exact
+interpolated percentile of the same samples; the tests hold every
+telemetry window of a faulted soak to it.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from ..sim.stats import LatencyStat
-from ..units import to_us
 
 
 class LatencyHistogram:
@@ -212,8 +209,7 @@ class LatencyHistogram:
         return self.total_us / self.count if self.count else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """The ``latency_us`` report block (same keys as
-        :func:`repro.analysis.trends.latency_summary`)."""
+        """The ``latency_us`` report block: p50/p95/p99, mean, max, n."""
         if self.count == 0:
             return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0,
                     "max": 0.0, "n": 0}
@@ -251,35 +247,8 @@ class LatencyHistogram:
         return out
 
     # ------------------------------------------------------------------
-    # consistency + serialization
+    # serialization
     # ------------------------------------------------------------------
-
-    def verify_against_stat(self, stat: LatencyStat,
-                            qs: Tuple[float, ...] = (50.0, 95.0, 99.0)
-                            ) -> List[str]:
-        """Cross-check this histogram against a sample-retaining
-        :class:`LatencyStat` over the *same* data (stat in ps).
-
-        Both use the identical interpolation convention, so any
-        disagreement beyond the histogram's per-quantile error bound
-        (plus the stat's 1 ps rounding) means the two aggregation paths
-        diverged — the assertion ``FleetTelemetry.close_window`` runs
-        every window.  Returns problem strings (empty = consistent).
-        """
-        problems: List[str] = []
-        if stat.count != self.count:
-            problems.append(f"sample counts differ: stat={stat.count} "
-                            f"histogram={self.count}")
-            return problems
-        for q in qs:
-            exact_us = to_us(stat.percentile(q))
-            approx_us = self.percentile(q)
-            bound = self.percentile_error_bound(q) + 1e-5
-            if abs(approx_us - exact_us) > bound:
-                problems.append(
-                    f"p{q:g} disagrees: histogram {approx_us:.4f} us vs "
-                    f"exact {exact_us:.4f} us (allowed ±{bound:.4f})")
-        return problems
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering: non-empty buckets plus exemplars."""

@@ -464,9 +464,10 @@ async def handle_connection(service: DmaService,
     """One client connection: a request object per line, completions out.
 
     ``{"op": "stats"}`` returns the service snapshot instead.  A line
-    that is longer than :data:`MAX_LINE_BYTES`, is not UTF-8 JSON, does
-    not parse as a request, or names a shard out of range gets one
-    ``{"error": ...}`` line back and the connection stays open.
+    that is longer than :data:`MAX_LINE_BYTES`, is not UTF-8 JSON or
+    nests too deep to parse, does not parse as a request, or names a
+    shard out of range gets one ``{"error": ...}`` line back and the
+    connection stays open.
     """
     try:
         while True:
@@ -484,7 +485,10 @@ async def handle_connection(service: DmaService,
                 break
             try:
                 data = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers malformed JSON, a non-UTF-8 line and
+                # an integer too long to convert; RecursionError a line
+                # nested deeper than the parser's recursion limit.
                 response: Dict[str, Any] = {"error": f"bad json: {exc}"}
             else:
                 if isinstance(data, dict) and data.get("op") == "stats":
@@ -501,8 +505,10 @@ async def handle_connection(service: DmaService,
                         # Routing (in submit) rejects a bad shard index
                         # before the request is admitted or queued.
                         future = await service.submit(request)
-                    except (ConfigError, ObservabilityError,
-                            TypeError) as exc:
+                    except (ConfigError, ObservabilityError, TypeError,
+                            RecursionError) as exc:
+                        # RecursionError: an error message that quotes
+                        # a value nested just under the parser's limit.
                         response = {"error": str(exc)}
                     else:
                         completion = await future

@@ -65,6 +65,11 @@ class Request:
         if not isinstance(self.tenant, str) or not self.tenant:
             raise ConfigError(
                 f"tenant must be a non-empty string, got {self.tenant!r}")
+        try:
+            self.tenant.encode("utf-8")  # shard_of hashes these bytes
+        except UnicodeEncodeError:
+            raise ConfigError(
+                f"tenant must be valid UTF-8, got {self.tenant!r}") from None
         if self.kind not in REQUEST_KINDS:
             raise ConfigError(f"unknown request kind {self.kind!r}")
         if not _is_int(self.size) or self.size <= 0:

@@ -1,18 +1,16 @@
-"""Counters and latency statistics.
+"""Event counters.
 
 Every hardware and OS model exposes its activity through a
-:class:`StatRegistry` so experiments can report instruction counts, bus
-transactions, context switches, DMA initiations, and latency distributions
-without the models printing anything themselves.
+:class:`StatRegistry` of counters so experiments can report instruction
+counts, bus transactions, context switches and DMA initiations without
+the models printing anything themselves.  Latency distributions are
+aggregated by :class:`~repro.obs.histogram.LatencyHistogram`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
-
-from ..units import Time, to_us
+from typing import Dict
 
 
 class Counter:
@@ -36,118 +34,12 @@ class Counter:
         return f"Counter({self.name!r}, {self.value})"
 
 
-class LatencyStat:
-    """Accumulates a latency distribution in integer picoseconds.
-
-    Keeps count/sum/min/max plus the sum of squares for the standard
-    deviation, and optionally retains raw samples for percentile queries.
-    """
-
-    def __init__(self, name: str, keep_samples: bool = False) -> None:
-        self.name = name
-        self.count = 0
-        self.total: Time = 0
-        self.min: Optional[Time] = None
-        self.max: Optional[Time] = None
-        self._sum_sq = 0
-        self._samples: Optional[List[Time]] = [] if keep_samples else None
-
-    def record(self, latency: Time) -> None:
-        """Record one latency sample."""
-        if latency < 0:
-            raise ValueError(
-                f"latency stat {self.name!r}: negative sample {latency}")
-        self.count += 1
-        self.total += latency
-        self._sum_sq += latency * latency
-        if self.min is None or latency < self.min:
-            self.min = latency
-        if self.max is None or latency > self.max:
-            self.max = latency
-        if self._samples is not None:
-            self._samples.append(latency)
-
-    @property
-    def mean(self) -> float:
-        """Mean latency in picoseconds (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def mean_us(self) -> float:
-        """Mean latency in microseconds."""
-        return to_us(round(self.mean))
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation in picoseconds."""
-        if self.count == 0:
-            return 0.0
-        mean = self.mean
-        variance = self._sum_sq / self.count - mean * mean
-        return math.sqrt(max(0.0, variance))
-
-    @property
-    def has_samples(self) -> bool:
-        """Whether raw samples are retained and at least one exists."""
-        return bool(self._samples)
-
-    def percentile(self, p: float) -> Time:
-        """The *p*-th percentile (0..100) — always a defined value.
-
-        With retained samples the exact interpolated percentile is
-        returned.  Without them (``keep_samples=False``, or nothing
-        recorded yet) the query degrades instead of failing:
-
-        * no samples recorded at all -> 0;
-        * aggregates only -> a coarse estimate interpolated through the
-          running (min, mean, max): min..mean over p in [0, 50], then
-          mean..max over p in (50, 100].
-
-        Raises:
-            ValueError: only for *p* outside [0, 100].
-        """
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._samples:
-            if self.count == 0:
-                return 0
-            assert self.min is not None and self.max is not None
-            if p <= 50:
-                return round(self.min + (self.mean - self.min) * (p / 50))
-            return round(self.mean + (self.max - self.mean) * (p - 50) / 50)
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return round(ordered[low] * (1 - frac) + ordered[high] * frac)
-
-    def reset(self) -> None:
-        """Clear all recorded samples and aggregates."""
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self._sum_sq = 0
-        if self._samples is not None:
-            self._samples.clear()
-
-    def __repr__(self) -> str:
-        return (f"LatencyStat({self.name!r}, n={self.count}, "
-                f"mean={self.mean_us:.3f}us)")
-
-
 @dataclass
 class StatRegistry:
-    """A namespace of counters and latency stats owned by one component."""
+    """A namespace of counters owned by one component."""
 
     prefix: str = ""
     counters: Dict[str, Counter] = field(default_factory=dict)
-    latencies: Dict[str, LatencyStat] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter *name*."""
@@ -155,37 +47,15 @@ class StatRegistry:
             self.counters[name] = Counter(self._qualify(name))
         return self.counters[name]
 
-    def latency(self, name: str, keep_samples: bool = False) -> LatencyStat:
-        """Get or create the latency stat *name*."""
-        if name not in self.latencies:
-            self.latencies[name] = LatencyStat(
-                self._qualify(name), keep_samples=keep_samples)
-        return self.latencies[name]
-
     def reset(self) -> None:
-        """Reset every counter and latency stat in the registry."""
+        """Zero every counter in the registry."""
         for counter in self.counters.values():
             counter.reset()
-        for stat in self.latencies.values():
-            stat.reset()
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat name -> value dict of all counters and latency means (us)."""
-        out: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[self._qualify(name)] = float(counter.value)
-        for name, stat in self.latencies.items():
-            out[self._qualify(name) + ".mean_us"] = stat.mean_us
-            out[self._qualify(name) + ".count"] = float(stat.count)
-        return out
+        """Flat qualified-name -> value dict of all counters."""
+        return {self._qualify(name): float(counter.value)
+                for name, counter in self.counters.items()}
 
     def _qualify(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name
-
-
-def merge_snapshots(snapshots: Iterable[Dict[str, float]]) -> Dict[str, float]:
-    """Merge several snapshots; later entries win on key collisions."""
-    merged: Dict[str, float] = {}
-    for snap in snapshots:
-        merged.update(snap)
-    return merged

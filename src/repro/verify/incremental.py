@@ -36,12 +36,10 @@ snapshot/restore pair (counted in ``CheckStats.batched_deliveries``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import VerificationError
-from ..obs.profile import PhaseProfiler
 from .interleave import AccessSpec, interleaving_count, iter_interleavings_shared
 from .model_check import (
     REJECTION_WORDS,
@@ -149,7 +147,6 @@ def check_scenario_incremental(
         progress: Optional[Callable[[int], None]] = None,
         progress_every: int = 1000,
         stats: Optional[CheckStats] = None,
-        profiler: Optional[PhaseProfiler] = None,
 ) -> CheckResult:
     """Check a scenario with prefix sharing; naive-identical results.
 
@@ -168,12 +165,6 @@ def check_scenario_incremental(
             orders (transposition hits can make it jump).
         progress_every: callback period in interleavings.
         stats: optional :class:`CheckStats` to fill with work counters.
-        profiler: optional :class:`~repro.obs.profile.PhaseProfiler`;
-            when given, accumulates wall time for the ``snapshot``,
-            ``restore``, ``deliver``, and ``leaf`` phases and counts
-            ``expansion`` / ``transposition_hit`` events.  When None
-            (the default) the hot path pays one ``is not None`` test
-            per operation.
 
     Raises:
         VerificationError: if the interleaving count exceeds the cap.
@@ -203,12 +194,7 @@ def check_scenario_incremental(
     def deliver(access: AccessSpec) -> Any:
         """Deliver one access; returns the final_status undo token."""
         stats.accesses_delivered += 1
-        if profiler is not None:
-            t0 = time.perf_counter()
-            status = harness.deliver(access)
-            profiler.add_seconds("deliver", time.perf_counter() - t0)
-        else:
-            status = harness.deliver(access)
+        status = harness.deliver(access)
         if access.final and status is not None:
             old = final_status.get(access.pid, _MISSING)
             final_status[access.pid] = status
@@ -252,7 +238,6 @@ def check_scenario_incremental(
         return violations
 
     def leaf() -> _Subtree:
-        t0 = time.perf_counter() if profiler is not None else 0.0
         violations = evaluate(final_status)
         node = _Subtree(leaves=1)
         if violations:
@@ -262,8 +247,6 @@ def check_scenario_incremental(
             if max_examples > 0:
                 node.examples.append(((), violations))
         tick(1)
-        if profiler is not None:
-            profiler.add_seconds("leaf", time.perf_counter() - t0)
         return node
 
     # Adaptive cutover: a tree this small cannot amortize the DFS's
@@ -281,19 +264,10 @@ def check_scenario_incremental(
             order_status.clear()
             for access in order:
                 stats.accesses_delivered += 1
-                if profiler is not None:
-                    t0 = time.perf_counter()
-                    status = harness.deliver(access)
-                    profiler.add_seconds(
-                        "deliver", time.perf_counter() - t0)
-                else:
-                    status = harness.deliver(access)
+                status = harness.deliver(access)
                 if access.final and status is not None:
                     order_status[access.pid] = status
-            t0 = time.perf_counter() if profiler is not None else 0.0
             violations = evaluate(order_status)
-            if profiler is not None:
-                profiler.add_seconds("leaf", time.perf_counter() - t0)
             result.total_interleavings += 1
             if violations:
                 result.violating_interleavings += 1
@@ -320,12 +294,7 @@ def check_scenario_incremental(
         """
         stream = streams[index]
         pos = positions[index]
-        if profiler is not None:
-            t0 = time.perf_counter()
-            token = harness.snapshot()
-            profiler.add_seconds("snapshot", time.perf_counter() - t0)
-        else:
-            token = harness.snapshot()
+        token = harness.snapshot()
         stats.snapshots += 1
         tail = tuple(stream[pos:pos + remaining])
         undos = []
@@ -340,12 +309,7 @@ def check_scenario_incremental(
         positions[index] = pos
         for access, old in reversed(undos):
             undo_status(access, old)
-        if profiler is not None:
-            t0 = time.perf_counter()
-            harness.restore(token)
-            profiler.add_seconds("restore", time.perf_counter() - t0)
-        else:
-            harness.restore(token)
+        harness.restore(token)
         stats.restores += 1
         return node
 
@@ -362,8 +326,6 @@ def check_scenario_incremental(
                 hit = memo.get(key)
                 if hit is not None:
                     stats.transposition_hits += 1
-                    if profiler is not None:
-                        profiler.count("transposition_hit")
                     tick(hit.leaves)
                     return hit
         live = [i for i in range(len(streams)) if positions[i] < lengths[i]]
@@ -373,31 +335,19 @@ def check_scenario_incremental(
                 memo[key] = node
             return node
         node = _Subtree()
-        if profiler is not None:
-            profiler.count("expansion")
         for index, stream in enumerate(streams):
             pos = positions[index]
             if pos == lengths[index]:
                 continue
             access = stream[pos]
-            if profiler is not None:
-                t0 = time.perf_counter()
-                token = harness.snapshot()
-                profiler.add_seconds("snapshot", time.perf_counter() - t0)
-            else:
-                token = harness.snapshot()
+            token = harness.snapshot()
             stats.snapshots += 1
             old = deliver(access)
             positions[index] = pos + 1
             child = dfs(remaining - 1)
             positions[index] = pos
             undo_status(access, old)
-            if profiler is not None:
-                t0 = time.perf_counter()
-                harness.restore(token)
-                profiler.add_seconds("restore", time.perf_counter() - t0)
-            else:
-                harness.restore(token)
+            harness.restore(token)
             stats.restores += 1
             node.leaves += child.leaves
             node.violating += child.violating

@@ -31,7 +31,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import VerificationError
 from ...faults.plan import BITFLIP
-from ...obs.profile import PhaseProfiler
 from ...sim.rng import make_rng
 from ..faulted import (
     FAULT_HARDENED_METHODS,
@@ -164,7 +163,6 @@ def verify_method_under_k_faults(
         seed: int = 0,
         checker: Callable[..., CheckResult] = check_scenario_incremental,
         progress: Optional[Callable[[str, int, int], None]] = None,
-        profiler: Optional[PhaseProfiler] = None,
 ) -> KFaultReport:
     """Model-check *method* under every (or a sample of) k-fault combos.
 
@@ -181,23 +179,15 @@ def verify_method_under_k_faults(
         seed: sampling seed (only used when sampling).
         checker: the check function (incremental by default).
         progress: optional callback ``(combo_label, done, total)``.
-        profiler: optional phase profiler (``baseline`` / ``variant``).
     """
     if k < 1:
         raise VerificationError("k must be >= 1")
     started = time.monotonic()
     baselines = method_fault_scenarios(method)
-    baseline_results = []
-    for baseline in baselines:
-        if profiler is not None:
-            with profiler.phase("baseline"):
-                baseline_results.append(checker(
-                    baseline, max_examples=max_examples,
-                    max_interleavings=max_interleavings))
-        else:
-            baseline_results.append(checker(
-                baseline, max_examples=max_examples,
-                max_interleavings=max_interleavings))
+    baseline_results = [
+        checker(baseline, max_examples=max_examples,
+                max_interleavings=max_interleavings)
+        for baseline in baselines]
     baseline_safe = all(r.safe for r in baseline_results)
     report = KFaultReport(method=method, k=k,
                           baseline_safe=baseline_safe,
@@ -229,13 +219,8 @@ def verify_method_under_k_faults(
         if variant is None:
             report.combos_skipped += 1
         else:
-            if profiler is not None:
-                with profiler.phase("variant"):
-                    result = checker(variant, max_examples=max_examples,
-                                     max_interleavings=max_interleavings)
-            else:
-                result = checker(variant, max_examples=max_examples,
-                                 max_interleavings=max_interleavings)
+            result = checker(variant, max_examples=max_examples,
+                             max_interleavings=max_interleavings)
             report.combos_checked += 1
             report.interleavings_checked += result.total_interleavings
             if baseline_safe and result.attack_found:
@@ -253,7 +238,6 @@ def run_k_fault_campaign(
         max_combos: Optional[int] = None,
         seed: int = 0,
         progress: Optional[Callable[[str, int, int], None]] = None,
-        profiler: Optional[PhaseProfiler] = None,
 ) -> Dict[str, KFaultReport]:
     """k-fault-verify the hardened methods (or the given ones).
 
@@ -266,7 +250,7 @@ def run_k_fault_campaign(
               else FAULT_HARDENED_METHODS)
     return {m: verify_method_under_k_faults(
                 m, k=k, max_examples=max_examples, max_combos=max_combos,
-                seed=seed, progress=progress, profiler=profiler)
+                seed=seed, progress=progress)
             for m in chosen}
 
 

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ...errors import VerificationError
 from ...hw.dma.recognizer import SetupOp
 from ...hw.pagetable import PAGE_SIZE
-from ...obs.profile import PhaseProfiler
 from ...obs.spans import SpanTracer
 from ...sim.rng import make_rng
 from ..incremental import CheckStats, check_scenario_incremental
@@ -412,8 +411,7 @@ def _probe(harness, victim: Sequence[AccessSpec],
 
 
 def hunt_method(method: str, config: HuntConfig,
-                tracer: Optional[SpanTracer] = None,
-                profiler: Optional[PhaseProfiler] = None) -> HuntReport:
+                tracer: Optional[SpanTracer] = None) -> HuntReport:
     """Search for a counterexample against one initiation method.
 
     Stops at the first violating candidate (then optionally shrinks it),
@@ -481,17 +479,10 @@ def hunt_method(method: str, config: HuntConfig,
                                         accesses,
                                         tag=str(report.candidates))
             stats = CheckStats()
-            if profiler is not None:
-                with profiler.phase("check"):
-                    result = check_scenario_incremental(
-                        scenario, max_examples=1,
-                        max_interleavings=config.max_interleavings,
-                        stats=stats)
-            else:
-                result = check_scenario_incremental(
-                    scenario, max_examples=1,
-                    max_interleavings=config.max_interleavings,
-                    stats=stats)
+            result = check_scenario_incremental(
+                scenario, max_examples=1,
+                max_interleavings=config.max_interleavings,
+                stats=stats)
             report.candidates += 1
             report.interleavings += result.total_interleavings
             report.accesses_delivered += stats.accesses_delivered
@@ -502,20 +493,9 @@ def hunt_method(method: str, config: HuntConfig,
                 report.counterexample = order
                 report.props = tuple(sorted({v.prop for v in violations}))
                 if config.shrink:
-                    if profiler is not None:
-                        with profiler.phase("shrink"):
-                            report.shrunk = shrink_counterexample(
-                                scenario, order)
-                    else:
-                        report.shrunk = shrink_counterexample(
-                            scenario, order)
+                    report.shrunk = shrink_counterexample(scenario, order)
                 break
-            if profiler is not None:
-                with profiler.phase("probe"):
-                    _probe(probe_harness, victim, accesses, candidate,
-                           bandit)
-            else:
-                _probe(probe_harness, victim, accesses, candidate, bandit)
+            _probe(probe_harness, victim, accesses, candidate, bandit)
     finally:
         report.elapsed_s = time.monotonic() - started
         if tracer is not None and span is not None:
@@ -541,10 +521,8 @@ def _ranked(bandit: _Bandit, n: int, reverse: bool = False) -> List[int]:
 def run_hunt(methods: Optional[Sequence[str]] = None,
              config: Optional[HuntConfig] = None,
              tracer: Optional[SpanTracer] = None,
-             profiler: Optional[PhaseProfiler] = None,
              ) -> List[HuntReport]:
     """Hunt every (or the given) method; one report per method."""
     chosen = tuple(methods) if methods is not None else HUNT_METHODS
     cfg = config if config is not None else HuntConfig()
-    return [hunt_method(m, cfg, tracer=tracer, profiler=profiler)
-            for m in chosen]
+    return [hunt_method(m, cfg, tracer=tracer) for m in chosen]

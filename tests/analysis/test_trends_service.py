@@ -1,47 +1,18 @@
 """Service-trend primitives in analysis.trends."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.trends import (
     ServiceTrendPoint,
     TrendHistory,
     compare_service_reports,
     jain_index,
-    latency_summary,
-    percentile,
     service_trend_report,
 )
 
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert percentile([], 99.0) == 0.0
-
-    def test_single_value(self):
-        assert percentile([5.0], 50.0) == 5.0
-
-    def test_interpolates(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        assert percentile(values, 0.0) == 10.0
-        assert percentile(values, 100.0) == 40.0
-        assert percentile(values, 50.0) == pytest.approx(25.0)
-
-    def test_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 50.0) == 2.0
-
-
-class TestLatencySummary:
-    def test_empty(self):
-        summary = latency_summary([])
-        assert summary["n"] == 0
-        assert summary["p99"] == 0.0
-
-    def test_fields(self):
-        summary = latency_summary([1.0, 2.0, 3.0, 100.0])
-        assert summary["n"] == 4
-        assert summary["max"] == 100.0
-        assert summary["mean"] == pytest.approx(26.5)
-        assert summary["p50"] < summary["p95"] <= summary["p99"]
+from tests.conftest import exact_percentile
 
 
 class TestJainIndex:
@@ -102,6 +73,15 @@ class TestServiceTrendReport:
         points.append(make_point(4.0, goodput=1.0))
         report = service_trend_report(points)
         assert report["stalls"] == [4.0]
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1,
+                    max_size=40))
+    def test_median_goodput_is_the_interpolated_median(self, goodputs):
+        points = [make_point(float(i), goodput=g)
+                  for i, g in enumerate(goodputs)]
+        summary = service_trend_report(points)["summary"]
+        assert summary["median_goodput_mbytes_per_s"] == round(
+            exact_percentile(goodputs, 50.0), 4)
 
 
 def service_report(goodput=100.0, p99=50.0, wrong=0, verdict="RECOVERED"):

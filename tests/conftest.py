@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -141,6 +141,21 @@ def observe_harness(harness: ProtocolHarness) -> Tuple:
         harness.engine.protocol_violations,
         scalars,
     )
+
+
+def exact_percentile(values: Sequence[float], q: float) -> float:
+    """The exact *q*-th percentile of *values* by linear interpolation.
+
+    The reference :class:`~repro.obs.histogram.LatencyHistogram` is held
+    to: interpolate between the sorted samples at ranks ``floor(r)`` and
+    ``ceil(r)``, ``r = (n - 1) * q / 100``.
+    """
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * q / 100.0
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 def build_workstation(method: str = "keyed", **overrides) -> Workstation:

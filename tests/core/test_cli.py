@@ -115,7 +115,8 @@ def test_hunt_command_writes_json_report(capsys, tmp_path):
     assert payload["hunts"][0]["found"] is True
     assert payload["hunts"][0]["shrunk"]["length"] <= 4
     assert payload["spans"]  # obs spans were threaded through
-    assert "check" in payload["phases"]
+    assert set(payload) == {"seed", "budget_s", "max_candidates",
+                            "k_faults", "hunts", "kfault", "spans"}
 
 
 ALL_SUBCOMMANDS = sorted(COMMANDS) + ["all"]
@@ -220,7 +221,7 @@ def test_serve_command_serves_one_connection(capsys):
 
 def test_hunt_command_missing_attack_fails_gate(capsys, monkeypatch):
     """If rediscovery fails, the command exits non-zero (the CI gate)."""
-    def never_finds(methods=None, config=None, tracer=None, profiler=None):
+    def never_finds(methods=None, config=None, tracer=None):
         from repro.verify.synth.search import HuntReport
 
         return [HuntReport(method=m, seed=0)

@@ -1,9 +1,11 @@
-"""The asyncio front end: routing, admission, shutdown, TCP serving."""
+"""The asyncio front end: routing, admission, shutdown, TCP serving, hostile input."""
 
 import asyncio
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.service.admission import (
@@ -296,6 +298,17 @@ OVERLONG = b'{"tenant": "' + b"a" * MAX_LINE_BYTES + b'", "size": 64}'
     pytest.param(
         tuple(OVERLONG[i:i + 4096] for i in range(0, len(OVERLONG), 4096)),
         f"longer than {MAX_LINE_BYTES}", id="overlong-chunked"),
+    # Valid JSON whose tenant does not encode as UTF-8, hashed or routed.
+    pytest.param({"tenant": "\ud800", "size": 64}, "UTF-8",
+                 id="lone-surrogate-tenant"),
+    pytest.param({"tenant": "\ud800", "size": 64, "shard": 0}, "UTF-8",
+                 id="lone-surrogate-tenant-routed"),
+    # 60 KB, under the line limit, but deeper than the parser recurses.
+    pytest.param(b"[" * 30_000 + b"]" * 30_000, "bad json",
+                 id="deep-nesting"),
+    # An integer literal past Python's int-from-string digit limit.
+    pytest.param(b'{"tenant": "a", "size": ' + b"9" * 5_000 + b"}",
+                 "bad json", id="huge-integer"),
 ])
 def test_mistyped_fields_get_one_error_line_and_the_connection_survives(
         bad, reason):
@@ -307,4 +320,57 @@ def test_mistyped_fields_get_one_error_line_and_the_connection_survives(
     assert served["ok"] is True
     assert served["tenant"] == "ok"
     assert served["bytes_moved"] == 256
+
+
+#: Text mixing ASCII with lone surrogates, which the default
+#: ``st.text()`` almost never draws.
+SURROGATE_TEXT = st.text(
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.characters(max_codepoint=0x7F), max_size=8)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+REQUEST_SHAPED = st.fixed_dictionaries(
+    {"tenant": SURROGATE_TEXT},
+    optional={
+        "kind": st.sampled_from(["dma", "atomic", "message"])
+        | SURROGATE_TEXT,
+        "size": st.integers(min_value=-2, max_value=1 << 20),
+        "hot": st.booleans(),
+        "shard": st.none() | st.integers(min_value=-1, max_value=3),
+        "trace": st.fixed_dictionaries(
+            {"trace_id": SURROGATE_TEXT},
+            optional={"origin": SURROGATE_TEXT,
+                      "tenant": SURROGATE_TEXT,
+                      "request_id": st.integers(0, 10)}),
+    })
+
+#: One wire line as raw bytes: any JSON value, a request-shaped object,
+#: arrays nested up to 32,000 deep, an integer past Python's 4300-digit
+#: conversion limit, or arbitrary bytes without a newline.
+WIRE_LINES = st.one_of(
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    REQUEST_SHAPED.map(lambda value: json.dumps(value).encode()),
+    st.integers(min_value=1, max_value=32_000).map(
+        lambda depth: b"[" * depth + b"]" * depth),
+    st.integers(min_value=4_000, max_value=6_000).map(lambda n: b"9" * n),
+    st.binary(max_size=64).map(lambda raw: raw.replace(b"\n", b" ")),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(st.lists(WIRE_LINES, min_size=1, max_size=3))
+def test_fuzzed_lines_get_one_reply_each_and_stats_still_answers(lines):
+    """Exactly one reply per line, the handler returns normally, and a
+    trailing ``{"op": "stats"}`` line is still served."""
+    replies = _converse(lines + [{"op": "stats"}])
+    assert len(replies) == len(lines) + 1
+    assert "telemetry" in replies[-1]
 

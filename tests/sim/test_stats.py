@@ -1,9 +1,8 @@
-"""Unit tests for counters and latency statistics."""
+"""Unit tests for counters and the stat registry."""
 
 import pytest
 
-from repro.sim.stats import Counter, LatencyStat, StatRegistry, merge_snapshots
-from repro.units import us
+from repro.sim.stats import Counter, StatRegistry
 
 
 def test_counter_add_and_reset():
@@ -20,126 +19,18 @@ def test_counter_rejects_negative():
         Counter("x").add(-1)
 
 
-def test_latency_mean():
-    stat = LatencyStat("lat")
-    for sample in (us(1), us(2), us(3)):
-        stat.record(sample)
-    assert stat.mean_us == pytest.approx(2.0)
-    assert stat.count == 3
-
-
-def test_latency_min_max():
-    stat = LatencyStat("lat")
-    stat.record(500)
-    stat.record(100)
-    stat.record(900)
-    assert stat.min == 100
-    assert stat.max == 900
-
-
-def test_latency_stddev_zero_for_constant():
-    stat = LatencyStat("lat")
-    for _ in range(5):
-        stat.record(1000)
-    assert stat.stddev == pytest.approx(0.0, abs=1e-6)
-
-
-def test_latency_stddev_known_value():
-    stat = LatencyStat("lat")
-    for sample in (2, 4, 4, 4, 5, 5, 7, 9):
-        stat.record(sample)
-    assert stat.stddev == pytest.approx(2.0)
-
-
-def test_latency_rejects_negative_sample():
-    with pytest.raises(ValueError):
-        LatencyStat("lat").record(-1)
-
-
-def test_percentile_without_samples_estimates_from_aggregates():
-    # keep_samples=False must still return a defined value: the estimate
-    # interpolates min..mean for p<=50 and mean..max above.
-    stat = LatencyStat("lat")
-    for sample in (100, 200, 600):
-        stat.record(sample)
-    assert stat.percentile(0) == 100
-    assert stat.percentile(50) == 300  # the running mean
-    assert stat.percentile(100) == 600
-    assert stat.percentile(25) == 200
-    assert stat.percentile(75) == 450
-
-
-def test_percentile_empty_stat_is_zero():
-    stat = LatencyStat("lat")
-    assert stat.percentile(50) == 0
-    empty_kept = LatencyStat("lat2", keep_samples=True)
-    assert empty_kept.percentile(99) == 0
-
-
-def test_percentile_single_aggregate_sample():
-    stat = LatencyStat("lat")
-    stat.record(10)
-    assert stat.percentile(50) == 10
-    assert not stat.has_samples
-
-
-def test_percentile_bounds_checked_without_samples():
-    stat = LatencyStat("lat")
-    stat.record(10)
-    with pytest.raises(ValueError):
-        stat.percentile(-1)
-    with pytest.raises(ValueError):
-        stat.percentile(101)
-
-
-def test_has_samples_property():
-    assert not LatencyStat("a").has_samples
-    kept = LatencyStat("b", keep_samples=True)
-    assert not kept.has_samples
-    kept.record(5)
-    assert kept.has_samples
-
-
-def test_percentile_median():
-    stat = LatencyStat("lat", keep_samples=True)
-    for sample in (10, 20, 30, 40, 50):
-        stat.record(sample)
-    assert stat.percentile(50) == 30
-    assert stat.percentile(0) == 10
-    assert stat.percentile(100) == 50
-
-
-def test_percentile_interpolates():
-    stat = LatencyStat("lat", keep_samples=True)
-    stat.record(0)
-    stat.record(100)
-    assert stat.percentile(25) == 25
-
-
-def test_percentile_bounds_checked():
-    stat = LatencyStat("lat", keep_samples=True)
-    stat.record(1)
-    with pytest.raises(ValueError):
-        stat.percentile(101)
-
-
-def test_empty_stat_mean_is_zero():
-    assert LatencyStat("lat").mean == 0.0
-
-
 def test_registry_reuses_instances():
     registry = StatRegistry("dev")
     assert registry.counter("a") is registry.counter("a")
-    assert registry.latency("l") is registry.latency("l")
 
 
 def test_registry_reset_clears_all():
     registry = StatRegistry()
     registry.counter("a").add(3)
-    registry.latency("l").record(100)
+    registry.counter("b").add(1)
     registry.reset()
     assert registry.counter("a").value == 0
-    assert registry.latency("l").count == 0
+    assert registry.counter("b").value == 0
 
 
 def test_registry_snapshot_qualifies_names():
@@ -147,8 +38,3 @@ def test_registry_snapshot_qualifies_names():
     registry.counter("instructions").add(7)
     snap = registry.snapshot()
     assert snap["cpu0.instructions"] == 7.0
-
-
-def test_merge_snapshots_later_wins():
-    merged = merge_snapshots([{"a": 1.0, "b": 2.0}, {"b": 3.0}])
-    assert merged == {"a": 1.0, "b": 3.0}
