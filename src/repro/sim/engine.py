@@ -99,7 +99,8 @@ class Event:
         """Prevent the event from firing.  Idempotent.
 
         The owner notification runs *before* the flag flips so a bound
-        undo journal records the pre-cancellation value.
+        undo journal records the pre-cancellation value.  A fired event
+        has no owner any more, so cancelling it only sets the flag.
         """
         if self.cancelled:
             return
@@ -187,7 +188,12 @@ class Simulator:
         self._head_dirty = True
 
     def _j_unplace(self, event: Event) -> None:
-        """Undo of a push: remove *event* from whichever tier holds it."""
+        """Undo of a push: remove *event* from whichever tier holds it.
+
+        Its scheduling is undone, so it is disowned like a fired event:
+        a stale handle's cancel must not touch ``_live``.
+        """
+        event.on_cancel = None
         self._discard(event)
         self._head = None
         self._head_dirty = True
@@ -195,6 +201,24 @@ class Simulator:
     def _j_place(self, event: Event) -> None:
         """Undo of a pop: put *event* back (tier chosen by its when)."""
         self._place(event)
+        self._head = None
+        self._head_dirty = True
+
+    def _j_unfire(self, event: Event) -> None:
+        """Undo of a fire: re-queue *event*, live and owned again."""
+        event.cancelled = False
+        event.on_cancel = self._note_cancelled
+        self._j_place(event)
+
+    def _j_unrebase(self, blob: Tuple[Any, ...]) -> None:
+        """Undo of a rebase: the old window and tier contents."""
+        (self._wheel_base, self._horizon, self._wheel_count,
+         slots, far) = blob
+        for slot in self._slots:
+            slot.clear()
+        for index, events in slots:
+            self._slots[index].extend(events)
+        self._far[:] = far
         self._head = None
         self._head_dirty = True
 
@@ -243,7 +267,17 @@ class Simulator:
         base = (self.now >> self._gran_bits) << self._gran_bits
         if base <= self._wheel_base:
             return
-        self._j_state()
+        journal = self._journal
+        if journal is not None:
+            # Undo entries re-place events by the horizon they find, so
+            # an undo must see the old window and both tiers exactly as
+            # they were, cancelled stragglers included.
+            self._j_state()
+            journal.record_call(self._j_unrebase, (
+                self._wheel_base, self._horizon, self._wheel_count,
+                [(index, list(slot))
+                 for index, slot in enumerate(self._slots) if slot],
+                list(self._far)))
         survivors: List[Event] = []
         if self._wheel_count:
             for slot in self._slots:
@@ -413,20 +447,21 @@ class Simulator:
         journal = self._journal
         if journal is not None:
             self._j_state()
-            journal.record_call(self._j_place, event)
+            journal.record_call(self._j_unfire, event)
         self._remove_head(event)
+        event.on_cancel = None  # a late cancel must not touch _live
         self.now = event.when
         self._live -= 1
         self._events_fired += 1
         event.action()
         if event.transient and journal is None and len(self._free) < 1024:
             event.action = _NOOP
-            event.on_cancel = None
             self._free.append(event)
         return True
 
     def _remove_head(self, event: Event) -> None:
         """Pop *event*, known to be the current head, from its tier."""
+        self._sig = None
         if event.when < self._horizon:
             slot = self._slots[(event.when >> self._gran_bits)
                                & self._slot_mask]
@@ -539,21 +574,27 @@ class Simulator:
 
         Cached between queue mutations: the checker fingerprints the
         simulator once per tree node but the queue changes far less
-        often, so the (wheel-scanning) recomputation is rare.
+        often, so the (wheel-scanning) recomputation is rare.  With no
+        live event queued the signature is ``()`` without a scan.
         """
         sig = self._sig
         if sig is None:
-            sig = tuple(sorted((e.when, e.label)
-                               for e in self._all_events()
-                               if not e.cancelled))
+            if self._live == 0:
+                sig = ()
+            else:
+                sig = tuple(sorted((e.when, e.label)
+                                   for e in self._all_events()
+                                   if not e.cancelled))
             self._sig = sig
         return sig
 
     def _all_events(self) -> List[Event]:
         """Every queued event (cancelled included), both tiers, any order."""
         events: List[Event] = []
-        for slot in self._slots:
-            events.extend(slot)
+        if self._wheel_count:
+            for slot in self._slots:
+                if slot:
+                    events.extend(slot)
         events.extend(self._far)
         return events
 

@@ -40,11 +40,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import VerificationError
-from .interleave import AccessSpec, interleaving_count, iter_interleavings_shared
+from .interleave import (
+    AccessSpec,
+    ProtocolHarness,
+    interleaving_count,
+    iter_interleavings_shared,
+)
 from .model_check import (
     REJECTION_WORDS,
     CheckResult,
     Scenario,
+    harness_config,
     make_harness,
 )
 from .properties import (
@@ -90,8 +96,11 @@ class CheckStats:
         transposition_hits: subtrees reused from the table.
         transposition_entries: distinct states stored in the table.
         journal_entries_replayed: undo-journal entries replayed across
-            all restores.
-        dirty_pages: RAM pages copied by the page-granular CoW layer.
+            this check's restores (a delta: a reused harness's journal
+            keeps counting across checks, this field does not).
+        dirty_pages: RAM pages copied by the page-granular CoW layer
+            during this check (a delta, like
+            ``journal_entries_replayed``).
         batched_deliveries: accesses delivered inside forced-tail
             batches (a single live stream leaves no choice points, so
             the whole tail shares one snapshot/restore pair).
@@ -147,6 +156,7 @@ def check_scenario_incremental(
         progress: Optional[Callable[[int], None]] = None,
         progress_every: int = 1000,
         stats: Optional[CheckStats] = None,
+        harness: Optional[ProtocolHarness] = None,
 ) -> CheckResult:
     """Check a scenario with prefix sharing; naive-identical results.
 
@@ -165,31 +175,61 @@ def check_scenario_incremental(
             orders (transposition hits can make it jump).
         progress_every: callback period in interleavings.
         stats: optional :class:`CheckStats` to fill with work counters.
+        harness: optional harness already built for *scenario* by
+            :func:`~repro.verify.model_check.make_harness` and sitting
+            in that built state (anything delivered since undone through
+            its journal).  The check marks it on entry and restores it
+            to that mark on exit, so one harness can back any number of
+            checks of scenarios that differ only in their streams,
+            rights and intents; results and stats are the same as with
+            a fresh harness.  Default: build one.
 
     Raises:
-        VerificationError: if the interleaving count exceeds the cap.
+        VerificationError: if the interleaving count exceeds the cap, or
+            *harness* was built for a different method, context count,
+            page bounding, keys or setup than *scenario*.
     """
-    streams = scenario.streams
-    lengths = [len(s) for s in streams]
-    total_length = sum(lengths)
-    expected = interleaving_count(lengths)
+    expected = interleaving_count([len(s) for s in scenario.streams])
     if max_interleavings is not None and expected > max_interleavings:
         raise VerificationError(
             f"scenario {scenario.name}: {expected} interleavings exceeds "
             f"cap {max_interleavings}")
     if stats is None:
         stats = CheckStats()
+    if harness is None:
+        harness = make_harness(scenario)
+    elif harness.built_for != harness_config(scenario):
+        raise VerificationError(
+            f"scenario {scenario.name}: harness was built for "
+            f"{harness.built_for}, not {harness_config(scenario)}")
 
-    harness = make_harness(scenario)
+    entry = harness.snapshot()
+    journal = harness.journal
+    replayed = journal.entries_replayed
+    dirty = harness.ram.dirty_pages_saved
+    try:
+        result = _explore(scenario, harness, expected, max_examples,
+                          use_transposition, progress, progress_every,
+                          stats)
+        stats.journal_entries_replayed = journal.entries_replayed - replayed
+        stats.dirty_pages = harness.ram.dirty_pages_saved - dirty
+        return result
+    finally:
+        harness.restore(entry)
+
+
+def _explore(scenario: Scenario, harness: ProtocolHarness, expected: int,
+             max_examples: int, use_transposition: bool,
+             progress: Optional[Callable[[int], None]], progress_every: int,
+             stats: CheckStats) -> CheckResult:
+    """Cover every order of *scenario* on *harness* (journal bound)."""
+    streams = scenario.streams
+    lengths = [len(s) for s in streams]
+    total_length = sum(lengths)
     positions = [0] * len(streams)
     final_status: Dict[int, int] = {}
     memo: Dict[Any, _Subtree] = {}
     track = {"leaves": 0, "reported": 0}
-
-    def finish_stats() -> None:
-        if harness.journal is not None:
-            stats.journal_entries_replayed = harness.journal.entries_replayed
-            stats.dirty_pages = harness.ram.dirty_pages_saved
 
     def deliver(access: AccessSpec) -> Any:
         """Deliver one access; returns the final_status undo token."""
@@ -281,7 +321,6 @@ def check_scenario_incremental(
             stats.restores += 1
         stats.leaves = result.total_interleavings
         stats.naive_accesses = stats.leaves * total_length
-        finish_stats()
         return result
 
     def forced_tail(index: int, remaining: int) -> _Subtree:
@@ -366,7 +405,6 @@ def check_scenario_incremental(
     stats.leaves = root.leaves
     stats.naive_accesses = root.leaves * total_length
     stats.transposition_entries = len(memo)
-    finish_stats()
 
     result = CheckResult(scenario=scenario.name)
     result.total_interleavings = root.leaves

@@ -144,8 +144,24 @@ def replay_interleaving(scenario: Scenario,
     return violations
 
 
+def harness_config(scenario: Scenario) -> Tuple[object, ...]:
+    """Everything :func:`make_harness` builds a harness from.
+
+    Two scenarios with equal configs can share one harness: they differ
+    only in their streams, rights and intents, which the harness never
+    sees.
+    """
+    return (scenario.method, scenario.n_contexts, scenario.page_bounded,
+            tuple(sorted(scenario.keys.items())), tuple(scenario.setup))
+
+
 def make_harness(scenario: Scenario) -> ProtocolHarness:
-    """Build the harness for a scenario (keys pre-installed)."""
+    """Build the harness for a scenario (keys pre-installed).
+
+    The harness records what it was built from as ``built_for`` (see
+    :func:`harness_config`), so a caller handing it to another
+    scenario's check can be refused.
+    """
     harness = ProtocolHarness(_protocol_factory(scenario.method),
                               n_contexts=scenario.n_contexts,
                               page_bounded=scenario.page_bounded)
@@ -153,6 +169,7 @@ def make_harness(scenario: Scenario) -> ProtocolHarness:
         harness.install_key(ctx_id, key)
     for op in scenario.setup:
         harness.install_setup(op)
+    harness.built_for = harness_config(scenario)
     return harness
 
 

@@ -42,7 +42,7 @@ from ...hw.pagetable import PAGE_SIZE
 from ...obs.spans import SpanTracer
 from ...sim.rng import make_rng
 from ..incremental import CheckStats, check_scenario_incremental
-from ..interleave import AccessSpec, initiation_stream
+from ..interleave import AccessSpec, ProtocolHarness, initiation_stream
 from ..model_check import Scenario, make_harness
 from ..properties import ProcessIntent, Rights
 from .generator import (
@@ -386,23 +386,31 @@ def _state_label(harness) -> str:
 def _probe(harness, victim: Sequence[AccessSpec],
            accesses: Sequence[AccessSpec], indices: Sequence[int],
            bandit: _Bandit) -> None:
-    """Replay victim prefixes + the candidate, crediting bandit arms.
+    """Run the candidate after every victim prefix, crediting bandit arms.
 
-    For every split point of the victim stream, deliver the victim
-    prefix then the candidate's accesses one at a time, recording for
-    each (state label before, vocab index) whether the recognizer's
-    label changed — the signal that this access *participates in* the
-    pattern the recognizer is matching.
+    For every split point of the victim stream, deliver the candidate's
+    accesses one at a time after the victim prefix, recording for each
+    (state label before, vocab index) whether the recognizer's label
+    changed — the signal that this access *participates in* the pattern
+    the recognizer is matching.
+
+    The harness backtracks through its undo journal: the candidate runs
+    under a mark and is undone, then the next victim access extends the
+    prefix, so each prefix is built once.  The harness ends in the state
+    it started in.
     """
+    entry = harness.snapshot()
     for split in range(len(victim) + 1):
-        harness.reset()
-        for access in victim[:split]:
-            harness.deliver(access)
+        mark = harness.snapshot()
         for access, index in zip(accesses, indices):
             before = _state_label(harness)
             harness.deliver(access)
             bandit.credit(before, index,
                           advanced=_state_label(harness) != before)
+        harness.restore(mark)
+        if split < len(victim):
+            harness.deliver(victim[split])
+    harness.restore(entry)
 
 
 # ----------------------------------------------------------------------
@@ -429,11 +437,12 @@ def hunt_method(method: str, config: HuntConfig,
     vocab = access_vocabulary(profile)
     bandit = _Bandit()
 
-    # One reusable harness for bandit probes (probes never touch the
-    # checker's own harness).
-    probe_scenario = compose_scenario(method, victim, keys, profile,
-                                      [], "probe")
-    probe_harness = make_harness(probe_scenario)
+    # One harness backs every candidate check and every probe: both
+    # backtrack through its undo journal to the built state, so no
+    # candidate rebuilds the simulator, RAM, engine and protocol.  It is
+    # built from the first candidate; the others differ from it only in
+    # the adversary stream, which a harness is not built from.
+    harness: Optional[ProtocolHarness] = None
 
     seen: Set[Tuple[int, ...]] = set()
     # DFS stack of partial streams (tuples of vocab indices); children
@@ -478,11 +487,13 @@ def hunt_method(method: str, config: HuntConfig,
             scenario = compose_scenario(method, victim, keys, profile,
                                         accesses,
                                         tag=str(report.candidates))
+            if harness is None:
+                harness = make_harness(scenario)
             stats = CheckStats()
             result = check_scenario_incremental(
                 scenario, max_examples=1,
                 max_interleavings=config.max_interleavings,
-                stats=stats)
+                stats=stats, harness=harness)
             report.candidates += 1
             report.interleavings += result.total_interleavings
             report.accesses_delivered += stats.accesses_delivered
@@ -495,7 +506,7 @@ def hunt_method(method: str, config: HuntConfig,
                 if config.shrink:
                     report.shrunk = shrink_counterexample(scenario, order)
                 break
-            _probe(probe_harness, victim, accesses, candidate, bandit)
+            _probe(harness, victim, accesses, candidate, bandit)
     finally:
         report.elapsed_s = time.monotonic() - started
         if tracer is not None and span is not None:

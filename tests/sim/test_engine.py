@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -309,3 +311,63 @@ def test_journal_nested_marks_undo_in_stack_order():
     assert (sim.now, sim.pending) == (11, 0)
     journal.undo_to(outer)
     assert (sim.now, sim.pending) == (1, 0)
+
+
+# -- live_event_signature fast path ------------------------------------------
+
+
+def scanned_signature(sim):
+    """The signature by a full scan of both tiers (the reference)."""
+    events = [e for slot in sim._slots for e in slot] + list(sim._far)
+    return tuple(sorted((e.when, e.label) for e in events
+                        if not e.cancelled))
+
+
+#: One step of the signature property: (op, argument).
+SIM_OPS = st.one_of(
+    st.tuples(st.just("near"), st.integers(min_value=0, max_value=127)),
+    st.tuples(st.just("far"), st.integers(min_value=0, max_value=300)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("step"), st.just(0)),
+    st.tuples(st.just("advance"), st.integers(min_value=0, max_value=300)),
+    st.tuples(st.just("mark"), st.just(0)),
+    st.tuples(st.just("undo"), st.just(0)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ops=st.lists(SIM_OPS, max_size=40))
+@example(ops=[])
+@example(ops=[("near", 5), ("far", 0), ("cancel", 0), ("cancel", 1)])
+def test_signature_matches_full_scan_after_every_step(ops):
+    """The cached, scan-skipping signature equals a full scan.
+
+    A tiny wheel (8 slots of 16 ps, a 128 ps horizon) makes far-heap
+    placement, migration and rebases frequent; journal marks and undos
+    interleave with every other operation.  The examples pin the empty
+    queue and a queue whose every event is cancelled.
+    """
+    sim = Simulator(wheel_granularity_bits=4, wheel_slots=8)
+    journal = UndoJournal()
+    sim.bind_journal(journal)
+    handles, marks = [], []
+    assert sim.live_event_signature() == () == scanned_signature(sim)
+    for op, arg in ops:
+        if op == "near":
+            handles.append(sim.schedule(arg, lambda: None,
+                                        label=f"n{arg % 3}"))
+        elif op == "far":
+            handles.append(sim.call_at(sim.now + sim._span + arg,
+                                       lambda: None, label="far"))
+        elif op == "cancel" and handles:
+            handles[arg % len(handles)].cancel()
+        elif op == "step":
+            sim.step()
+        elif op == "advance":
+            sim.advance(arg)
+        elif op == "mark":
+            marks.append(journal.mark())
+        elif op == "undo" and marks:
+            journal.undo_to(marks.pop())
+        assert sim.live_event_signature() == scanned_signature(sim), (
+            op, arg)
