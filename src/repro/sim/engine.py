@@ -574,27 +574,21 @@ class Simulator:
 
         Cached between queue mutations: the checker fingerprints the
         simulator once per tree node but the queue changes far less
-        often, so the (wheel-scanning) recomputation is rare.  With no
-        live event queued the signature is ``()`` without a scan.
+        often, so the (wheel-scanning) recomputation is rare.
         """
         sig = self._sig
         if sig is None:
-            if self._live == 0:
-                sig = ()
-            else:
-                sig = tuple(sorted((e.when, e.label)
-                                   for e in self._all_events()
-                                   if not e.cancelled))
+            sig = tuple(sorted((e.when, e.label)
+                               for e in self._all_events()
+                               if not e.cancelled))
             self._sig = sig
         return sig
 
     def _all_events(self) -> List[Event]:
         """Every queued event (cancelled included), both tiers, any order."""
         events: List[Event] = []
-        if self._wheel_count:
-            for slot in self._slots:
-                if slot:
-                    events.extend(slot)
+        for slot in self._slots:
+            events.extend(slot)
         events.extend(self._far)
         return events
 

@@ -50,7 +50,7 @@ from .model_check import (
     REJECTION_WORDS,
     CheckResult,
     Scenario,
-    harness_config,
+    harness_fits,
     make_harness,
 )
 from .properties import (
@@ -198,10 +198,10 @@ def check_scenario_incremental(
         stats = CheckStats()
     if harness is None:
         harness = make_harness(scenario)
-    elif harness.built_for != harness_config(scenario):
+    elif not harness_fits(harness, scenario):
         raise VerificationError(
-            f"scenario {scenario.name}: harness was built for "
-            f"{harness.built_for}, not {harness_config(scenario)}")
+            f"scenario {scenario.name}: harness was built for another "
+            f"method, context count, page bounding, keys or setup")
 
     entry = harness.snapshot()
     journal = harness.journal

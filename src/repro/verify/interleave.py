@@ -76,9 +76,6 @@ class ProtocolHarness:
         self.page_bounded = page_bounded
         self._keys: Dict[int, int] = {}
         self._setups: List[SetupOp] = []
-        #: What :func:`~repro.verify.model_check.make_harness` built this
-        #: harness from (None when built directly).
-        self.built_for: Optional[tuple] = None
         self.reset()
 
     def reset(self) -> None:

@@ -12,6 +12,7 @@ method, and extended shadow addressing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -125,7 +126,7 @@ class CheckResult:
 def _protocol_factory(method: str):
     from ..core.methods import make_protocol
 
-    return lambda: make_protocol(method)
+    return functools.partial(make_protocol, method)
 
 
 def replay_interleaving(scenario: Scenario,
@@ -144,24 +145,26 @@ def replay_interleaving(scenario: Scenario,
     return violations
 
 
-def harness_config(scenario: Scenario) -> Tuple[object, ...]:
-    """Everything :func:`make_harness` builds a harness from.
+def harness_fits(harness: ProtocolHarness, scenario: Scenario) -> bool:
+    """Whether *harness* is what :func:`make_harness` builds for *scenario*.
 
-    Two scenarios with equal configs can share one harness: they differ
-    only in their streams, rights and intents, which the harness never
-    sees.
+    Read from the harness itself (its protocol factory, context count,
+    page bounding, installed keys and setup ops), so a key or setup op
+    installed after the build counts.  Scenarios that differ only in
+    their streams, rights and intents, which a harness never sees, fit
+    the same harness.
     """
-    return (scenario.method, scenario.n_contexts, scenario.page_bounded,
-            tuple(sorted(scenario.keys.items())), tuple(scenario.setup))
+    # make_harness's factory is functools.partial(make_protocol, method).
+    return (getattr(harness.protocol_factory, "args", None)
+            == (scenario.method,)
+            and harness.n_contexts == scenario.n_contexts
+            and harness.page_bounded == scenario.page_bounded
+            and harness._keys == scenario.keys
+            and harness._setups == list(scenario.setup))
 
 
 def make_harness(scenario: Scenario) -> ProtocolHarness:
-    """Build the harness for a scenario (keys pre-installed).
-
-    The harness records what it was built from as ``built_for`` (see
-    :func:`harness_config`), so a caller handing it to another
-    scenario's check can be refused.
-    """
+    """Build the harness for a scenario (keys pre-installed)."""
     harness = ProtocolHarness(_protocol_factory(scenario.method),
                               n_contexts=scenario.n_contexts,
                               page_bounded=scenario.page_bounded)
@@ -169,7 +172,6 @@ def make_harness(scenario: Scenario) -> ProtocolHarness:
         harness.install_key(ctx_id, key)
     for op in scenario.setup:
         harness.install_setup(op)
-    harness.built_for = harness_config(scenario)
     return harness
 
 

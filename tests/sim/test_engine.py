@@ -313,7 +313,7 @@ def test_journal_nested_marks_undo_in_stack_order():
     assert (sim.now, sim.pending) == (1, 0)
 
 
-# -- live_event_signature fast path ------------------------------------------
+# -- live_event_signature and pending against a full scan ---------------------
 
 
 def scanned_signature(sim):
@@ -340,7 +340,7 @@ SIM_OPS = st.one_of(
 @example(ops=[])
 @example(ops=[("near", 5), ("far", 0), ("cancel", 0), ("cancel", 1)])
 def test_signature_matches_full_scan_after_every_step(ops):
-    """The cached, scan-skipping signature equals a full scan.
+    """The cached signature and the live count equal a full scan.
 
     A tiny wheel (8 slots of 16 ps, a 128 ps horizon) makes far-heap
     placement, migration and rebases frequent; journal marks and undos
@@ -371,3 +371,4 @@ def test_signature_matches_full_scan_after_every_step(ops):
             journal.undo_to(marks.pop())
         assert sim.live_event_signature() == scanned_signature(sim), (
             op, arg)
+        assert sim.pending == len(scanned_signature(sim)), (op, arg)

@@ -12,8 +12,8 @@ hold both to the rebuild-per-use behaviour they replace:
 * checking a hunt's candidates in sequence on one harness gives the
   same result and the same work counters as a fresh harness per
   candidate;
-* a harness built for another method, other keys or other setup ops is
-  refused.
+* a harness built for another method, other keys or other setup ops,
+  or given another key or setup op after its build, is refused.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from tests.conftest import observe_harness
 
 from repro.errors import VerificationError
 from repro.verify.incremental import CheckStats, check_scenario_incremental
+from repro.verify.interleave import ProtocolHarness
 from repro.verify.model_check import make_harness
 from repro.verify.synth import search
 from repro.verify.synth.generator import access_vocabulary
@@ -118,14 +119,27 @@ def test_reused_harness_matches_fresh_harness(method):
 def test_harness_built_for_other_scenario_is_refused():
     keyed = first_candidates("keyed", count=1)[0]
     capio = first_candidates("capio", count=1)[0]
+    rekeyed = make_harness(keyed)
+    rekeyed.install_key(1, 0x2)
+    resetup = make_harness(capio)
+    resetup.install_setup(capio.setup[0])
+    direct = make_harness(keyed)
+    direct_harness = ProtocolHarness(lambda: direct.protocol_factory(),
+                                     n_contexts=keyed.n_contexts)
+    for ctx_id, key in keyed.keys.items():
+        direct_harness.install_key(ctx_id, key)
     others = [
         make_harness(first_candidates("shrimp1", count=1)[0]),
         make_harness(dataclasses.replace(keyed, keys={0: 0x1})),
         make_harness(dataclasses.replace(capio, setup=capio.setup[:-1])),
         make_harness(dataclasses.replace(keyed, n_contexts=8)),
         make_harness(dataclasses.replace(keyed, page_bounded=True)),
+        rekeyed, resetup, direct_harness,
     ]
-    for scenario, harness in zip([keyed, keyed, capio, keyed, keyed],
-                                 others):
+    scenarios = [keyed, keyed, capio, keyed, keyed, keyed, capio, keyed]
+    for scenario, harness in zip(scenarios, others, strict=True):
         with pytest.raises(VerificationError, match="harness was built"):
             check_scenario_incremental(scenario, harness=harness)
+    # The same scenarios fit their own builds.
+    for scenario in (keyed, capio):
+        check_scenario_incremental(scenario, harness=make_harness(scenario))
