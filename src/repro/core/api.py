@@ -10,9 +10,9 @@ count, or schedule them adversarially.
 
 from __future__ import annotations
 
-import functools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import ConfigError, KernelError
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -45,22 +45,15 @@ from ..os.process import Process, shadow_vaddr
 from ..units import Time, to_us
 from .machine import PAL_DMA_FUNCTION, Workstation
 
-#: Distinct initiation programs kept assembled (see :func:`_assemble_memo`).
+#: Distinct initiation programs kept assembled (see :meth:`DmaChannel.program`).
 PROGRAM_MEMO_SIZE = 256
 
+#: Assembled initiation programs, keyed by everything their sequence is
+#: built from; least recently used first.  Bounded by PROGRAM_MEMO_SIZE
+#: because ``repro serve`` runs indefinitely.
+_PROGRAMS: "OrderedDict[Tuple[Any, ...], Program]" = OrderedDict()
 
-@functools.lru_cache(maxsize=PROGRAM_MEMO_SIZE)
-def _assemble_memo(instructions: Tuple[Instruction, ...],
-                   name: str) -> Program:
-    """:func:`assemble`, once per distinct instruction sequence and name.
-
-    A channel re-issues the same few sequences (one per buffer pair and
-    size), so each is assembled and validated once and the read-only
-    :class:`Program` is shared.  Bounded, least recently used out first,
-    because ``repro serve`` runs indefinitely.  A malformed sequence
-    raises on every call: exceptions are never cached.
-    """
-    return assemble(instructions, name=name)
+_CAPIO_METHODS = ("capio", "capio_noepoch")
 
 
 @dataclass(frozen=True)
@@ -182,6 +175,10 @@ class DmaChannel:
                  with_mb: bool = True) -> List[Instruction]:
         """Build the initiation instruction sequence (no Halt).
 
+        Every binding field a builder reads must also be in
+        :meth:`_binding_key`, or :meth:`program` hands back a program
+        built from the old value.
+
         Args:
             with_retry: include Fig. 7's DMA_FAILURE retry loop where the
                 method has one.
@@ -208,7 +205,7 @@ class DmaChannel:
                     CallPal(PAL_DMA_FUNCTION)]
         if name == "keyed":
             return self._keyed_sequence(vsrc, vdst, size)
-        if name in ("capio", "capio_noepoch"):
+        if name in _CAPIO_METHODS:
             return self._capio_sequence(vsrc, vdst, size)
         if name in ("repeated3", "repeated4", "repeated5"):
             return self._repeated_sequence(vsrc, vdst, size,
@@ -219,12 +216,44 @@ class DmaChannel:
     def program(self, vsrc: int, vdst: int, size: int,
                 with_retry: bool = True, with_mb: bool = True,
                 name: str = "") -> Program:
-        """The sequence assembled into a runnable program (ends in Halt)."""
+        """The sequence assembled into a runnable program (ends in Halt).
+
+        A channel re-issues the same few sequences (one per buffer pair
+        and size), so each is built, assembled and validated once and
+        the read-only :class:`Program` is shared.  The memo key is the
+        method, the arguments, the name and the binding fields the
+        method's sequence reads, so a hit builds no instructions at all.
+        A malformed sequence raises on every call: failures are never
+        memoised.
+        """
+        method = self.method.name
+        name = name or f"dma-{method}"
+        key = (method, vsrc, vdst, size, with_retry, with_mb,
+               name) + self._binding_key(vsrc, vdst)
+        program = _PROGRAMS.get(key)
+        if program is not None:
+            _PROGRAMS.move_to_end(key)
+            return program
         instructions = self.sequence(vsrc, vdst, size,
                                      with_retry=with_retry, with_mb=with_mb)
         instructions.append(Halt())
-        return _assemble_memo(tuple(instructions),
-                              name or f"dma-{self.method.name}")
+        program = _PROGRAMS[key] = assemble(instructions, name=name)
+        if len(_PROGRAMS) > PROGRAM_MEMO_SIZE:
+            _PROGRAMS.popitem(last=False)
+        return program
+
+    def _binding_key(self, vsrc: int, vdst: int) -> Tuple[Any, ...]:
+        """The binding fields this channel's sequence reads."""
+        name = self.method.name
+        if name == "keyed":
+            binding = self.proc.dma_binding
+            return (binding.key, binding.ctx_id, binding.ctx_page_vaddr)
+        if name in _CAPIO_METHODS:
+            binding = self.proc.dma_binding
+            return (binding.capio_window_vaddr, binding.ctx_id,
+                    binding.ctx_page_vaddr, binding.capability_for(vdst),
+                    binding.capability_for(vsrc))
+        return ()
 
     def _keyed_sequence(self, vsrc: int, vdst: int,
                         size: int) -> List[Instruction]:

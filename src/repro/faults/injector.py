@@ -26,11 +26,10 @@ on the bus and fabric, a hook slot on the transfer engine), so
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..hw.bus import Bus
-from ..hw.device import AccessContext
+from ..hw.device import AccessContext, MmioDevice
 from ..hw.dma.status import STATUS_FAILURE
 from ..hw.dma.transfer import DmaTransferEngine, Transfer
 from ..obs.spans import SpanTracer
@@ -62,7 +61,10 @@ class Injector:
         self.stats = stats if stats is not None else StatRegistry("faults")
         self.spans = spans
         self._undo: List[Callable[[], None]] = []
-        self._held_store: Optional[Tuple[Bus, int, int, AccessContext]] = None
+        #: A REORDER-held store: (bus write, paddr, value, ctx, window).
+        self._held_store: Optional[Tuple[Callable[..., Time], int, int,
+                                         AccessContext,
+                                         Tuple[MmioDevice, int]]] = None
         self._held_packet: Optional[Tuple[Callable[..., None], tuple]] = None
 
     # ------------------------------------------------------------------
@@ -81,20 +83,34 @@ class Injector:
         return self
 
     def attach_bus(self, bus: Bus) -> None:
-        """Interpose on device-window reads and writes of *bus*."""
+        """Interpose on device-window reads and writes of *bus*.
+
+        Each wrapper looks the device window up once and hands it on to
+        the bus, which would otherwise look it up a second time.
+        """
         orig_read = bus.read_word
         orig_write = bus.write_word
 
-        def read_word(paddr: int, ctx: AccessContext) -> Tuple[int, Time]:
-            if bus.find_window(paddr) is None:
-                return orig_read(paddr, ctx)
-            self._flush_held_store()
-            return self._faulted_read(bus, orig_read, paddr, ctx)
+        def read_word(paddr: int, ctx: AccessContext,
+                      hit: Optional[Tuple[MmioDevice, int]] = None
+                      ) -> Tuple[int, Time]:
+            if hit is None:
+                hit = bus.find_window(paddr)
+                if hit is None:
+                    return orig_read(paddr, ctx)
+            if self._held_store is not None:
+                self._flush_held_store()
+            return self._faulted_read(bus, orig_read, paddr, ctx, hit)
 
-        def write_word(paddr: int, value: int, ctx: AccessContext) -> Time:
-            if bus.find_window(paddr) is None:
-                return orig_write(paddr, value, ctx)
-            return self._faulted_write(bus, orig_write, paddr, value, ctx)
+        def write_word(paddr: int, value: int, ctx: AccessContext,
+                       hit: Optional[Tuple[MmioDevice, int]] = None
+                       ) -> Time:
+            if hit is None:
+                hit = bus.find_window(paddr)
+                if hit is None:
+                    return orig_write(paddr, value, ctx)
+            return self._faulted_write(bus, orig_write, paddr, value, ctx,
+                                       hit)
 
         bus.read_word = read_word  # type: ignore[method-assign]
         bus.write_word = write_word  # type: ignore[method-assign]
@@ -151,49 +167,53 @@ class Injector:
     # ------------------------------------------------------------------
 
     def _faulted_write(self, bus: Bus, orig_write: Callable[..., Time],
-                       paddr: int, value: int, ctx: AccessContext) -> Time:
+                       paddr: int, value: int, ctx: AccessContext,
+                       hit: Tuple[MmioDevice, int]) -> Time:
         rule = self.plan.decide("store", issuer=ctx.issuer, kernel=ctx.kernel)
-        cost = bus.clock.cycles(bus.timing.device_write_cycles)
         if rule is None:
-            cost = orig_write(paddr, value, ctx)
-            self._flush_held_store()
+            cost = orig_write(paddr, value, ctx, hit)
+            if self._held_store is not None:
+                self._flush_held_store()
             return cost
         self._count("store", rule.kind, paddr=paddr, issuer=ctx.issuer)
-        if rule.kind == DROP:
-            # The write transaction happens on the bus (full cost) but
-            # never reaches the device.
-            self._flush_held_store()
-            return cost
         if rule.kind == BITFLIP:
             value ^= 1 << self.plan.pick_bit(rule)
-            cost = orig_write(paddr, value, ctx)
+            cost = orig_write(paddr, value, ctx, hit)
             self._flush_held_store()
             return cost
         if rule.kind == DUPLICATE:
-            orig_write(paddr, value, ctx)
-            cost = orig_write(paddr, value, ctx)
+            orig_write(paddr, value, ctx, hit)
+            cost = orig_write(paddr, value, ctx, hit)
+            self._flush_held_store()
+            return cost
+        # The store is not delivered now, but its bus transaction still
+        # takes the full write time.
+        cost = bus.clock.cycles(bus.timing.device_write_cycles)
+        if rule.kind == DROP:
+            # The transaction never reaches the device.
             self._flush_held_store()
             return cost
         if rule.kind == DELAY:
-            when = self.sim.now + rule.delay
-            late_ctx = replace(ctx, when=when)
-            self.sim.schedule(rule.delay,
-                              lambda: orig_write(paddr, value, late_ctx),
-                              label="fault-delayed-store")
+            late_ctx = AccessContext(ctx.issuer, ctx.kernel,
+                                     self.sim.now + rule.delay)
+            self.sim.schedule(
+                rule.delay, lambda: orig_write(paddr, value, late_ctx, hit),
+                label="fault-delayed-store")
             self._flush_held_store()
             return cost
         # REORDER: hold this store; it is delivered right after the next
         # device access goes through (an adjacent swap).  A previously
         # held store is released first so at most one is ever in flight.
         self._flush_held_store()
-        self._held_store = (bus, paddr, value, ctx)
+        self._held_store = (orig_write, paddr, value, ctx, hit)
         return cost
 
     def _faulted_read(self, bus: Bus, orig_read: Callable[..., Tuple[int, Time]],
-                      paddr: int, ctx: AccessContext) -> Tuple[int, Time]:
+                      paddr: int, ctx: AccessContext,
+                      hit: Tuple[MmioDevice, int]) -> Tuple[int, Time]:
         rule = self.plan.decide("load", issuer=ctx.issuer, kernel=ctx.kernel)
         if rule is None:
-            return orig_read(paddr, ctx)
+            return orig_read(paddr, ctx, hit)
         self._count("load", rule.kind, paddr=paddr, issuer=ctx.issuer)
         if rule.kind == DROP:
             # A lost read transaction times out on the bus and the CPU
@@ -201,18 +221,18 @@ class Injector:
             return STATUS_FAILURE, bus.clock.cycles(
                 bus.timing.device_read_cycles)
         if rule.kind == BITFLIP:
-            value, cost = orig_read(paddr, ctx)
+            value, cost = orig_read(paddr, ctx, hit)
             return value ^ (1 << self.plan.pick_bit(rule)), cost
         if rule.kind == DELAY:
-            value, cost = orig_read(paddr, ctx)
+            value, cost = orig_read(paddr, ctx, hit)
             return value, cost + rule.delay
         if rule.kind == DUPLICATE:
             # The device sees the read twice (a re-issued transaction);
             # software sees the second result.
-            orig_read(paddr, ctx)
-            return orig_read(paddr, ctx)
+            orig_read(paddr, ctx, hit)
+            return orig_read(paddr, ctx, hit)
         # REORDER is meaningless for a synchronous read; pass through.
-        return orig_read(paddr, ctx)
+        return orig_read(paddr, ctx, hit)
 
     def _completion_hook(self, transfer: Transfer, kernel: bool = False
                          ) -> Optional[Tuple[str, Time]]:
@@ -271,16 +291,13 @@ class Injector:
     def _flush_held_store(self) -> None:
         if self._held_store is None:
             return
-        bus, paddr, value, ctx = self._held_store
+        write, paddr, value, ctx, hit = self._held_store
         self._held_store = None
-        # Deliver through the *original* path: type(bus) dispatch would
-        # re-enter the wrapper; the saved write in _undo is inaccessible
-        # here, so call the device directly like Bus.write_word does.
-        hit = bus.find_window(paddr)
-        if hit is None:
-            return
-        device, offset = hit
-        device.mmio_write(offset, value, replace(ctx, when=self.sim.now))
+        # Deliver through the bus write the wrapper replaced (not the
+        # wrapper itself), so the bus counts the store it finally
+        # carries.  Its time was charged when the store was held.
+        write(paddr, value, AccessContext(ctx.issuer, ctx.kernel,
+                                          self.sim.now), hit)
 
     def _flush_held_packet(self) -> None:
         if self._held_packet is not None:

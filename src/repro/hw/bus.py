@@ -162,17 +162,24 @@ class Bus:
 
     # -- timed accesses ------------------------------------------------------------
 
-    def read_word(self, paddr: int, ctx: AccessContext) -> Tuple[int, Time]:
+    def read_word(self, paddr: int, ctx: AccessContext,
+                  hit: Optional[Tuple[MmioDevice, int]] = None
+                  ) -> Tuple[int, Time]:
         """Perform a word read; return (value, bus cost).
 
         RAM reads are charged one data cycle (the CPU-side cache model adds
         its own cost); device reads are charged the full uncached round
         trip.
 
+        Args:
+            hit: what :meth:`find_window` returned for *paddr*, when the
+                caller has already looked it up (None looks it up here).
+
         Raises:
             BusError: if *paddr* is neither RAM nor a device window.
         """
-        hit = self.find_window(paddr)
+        if hit is None:
+            hit = self.find_window(paddr)
         if hit is not None:
             device, offset = hit
             self._device_reads.add()
@@ -183,14 +190,18 @@ class Bus:
             return self.ram.read_word(paddr), self._ram_word_ps
         raise BusError(paddr, "read")
 
-    def write_word(self, paddr: int, value: int,
-                   ctx: AccessContext) -> Time:
+    def write_word(self, paddr: int, value: int, ctx: AccessContext,
+                   hit: Optional[Tuple[MmioDevice, int]] = None) -> Time:
         """Perform a word write; return the bus cost.
+
+        Args:
+            hit: as for :meth:`read_word`.
 
         Raises:
             BusError: if *paddr* is neither RAM nor a device window.
         """
-        hit = self.find_window(paddr)
+        if hit is None:
+            hit = self.find_window(paddr)
         if hit is not None:
             device, offset = hit
             self._device_writes.add()

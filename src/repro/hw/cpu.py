@@ -19,14 +19,20 @@ the paper's protocols depend on:
   why the paper's PAL method is safe).
 
 Costs are expressed in CPU cycles via :class:`CpuCosts` and converted
-through the CPU clock domain; bus-side costs come from the bus itself.
+through the CPU clock domain once, at construction; bus-side costs come
+from the bus itself.
+
+A program runs from its decoded form (:func:`decoded`): one handler per
+instruction, built the first time the program runs and kept on it, so
+:meth:`Cpu.run` and the scheduler's :meth:`Cpu.step` dispatch without
+re-inspecting instruction types or operands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, PageFault, ProtectionFault, ReproError
 from ..obs.spans import SpanTracer, disabled_tracer
@@ -197,10 +203,17 @@ class Cpu:
         self._uncached_stores = counter("uncached_stores")
         # The fixed per-instruction costs in ps (the clock and the cost
         # table never change after construction).
-        self._base_ps = clock.cycles(costs.base_cycles)
-        self._branch_ps = clock.cycles(costs.branch_cycles)
-        self._uncached_ps = clock.cycles(costs.base_cycles
-                                         + costs.uncached_issue_cycles)
+        cycles = clock.cycles
+        self._base_ps = cycles(costs.base_cycles)
+        self._mem_ps = cycles(costs.mem_cycles)
+        self._mb_ps = cycles(costs.mb_cycles)
+        self._branch_ps = cycles(costs.branch_cycles)
+        self._uncached_ps = cycles(costs.base_cycles
+                                   + costs.uncached_issue_cycles)
+        self._pal_entry_ps = cycles(costs.pal_entry_cycles)
+        self._pal_exit_ps = cycles(costs.pal_exit_cycles)
+        self._syscall_entry_ps = cycles(costs.syscall_entry_cycles)
+        self._syscall_exit_ps = cycles(costs.syscall_exit_cycles)
         self._pal_functions: Dict[str, Program] = {}
         self._syscalls: Dict[str, SyscallHandler] = {}
         self._in_pal = False
@@ -257,12 +270,13 @@ class Cpu:
             return StepStatus.HALTED
         if thread.fault is not None:
             return StepStatus.FAULTED
-        instructions = thread.program.instructions
-        if thread.pc >= len(instructions):
+        ops = decoded(thread.program)
+        pc = thread.pc
+        if pc >= len(ops):
             thread.halted = True
             return StepStatus.HALTED
         try:
-            next_pc = self._execute(thread, instructions[thread.pc])
+            thread.pc = ops[pc](self, thread)
         except (PageFault, ProtectionFault) as exc:
             thread.fault = Fault(
                 kind=type(exc).__name__,
@@ -276,9 +290,8 @@ class Cpu:
                                    pid=thread.pid, pc=thread.pc,
                                    fault=thread.fault.kind, vaddr=exc.vaddr)
             return StepStatus.FAULTED
-        thread.pc = next_pc
         thread.instructions_retired += 1
-        self._instructions.add()
+        self._instructions.value += 1
         if thread.halted:
             return StepStatus.HALTED
         return StepStatus.RUNNING
@@ -307,124 +320,62 @@ class Cpu:
         raise ReproError(
             f"thread {thread.pid} exceeded {max_instructions} instructions")
 
-    # -- per-instruction semantics ---------------------------------------------------
-
-    def _execute(self, thread: Thread, instr: Instruction) -> int:
-        # Tested most frequent first: the initiation sequences are
-        # stores, loads, argument moves, a syscall and the final halt.
-        pc = thread.pc
-        if isinstance(instr, Store):
-            self._do_store(thread, instr.addr, self._value(thread, instr.src))
-            return pc + 1
-        if isinstance(instr, Load):
-            self._do_load(thread, instr.dst, instr.addr)
-            return pc + 1
-        if isinstance(instr, Mov):
-            thread.set_reg(instr.dst, self._value(thread, instr.src))
-            self.sim.advance(self._base_ps)
-            return pc + 1
-        if isinstance(instr, Halt):
-            thread.halted = True
-            self.sim.advance(self._base_ps)
-            # The buffer keeps draining after the program ends; model it
-            # as a final flush so no posted store is ever lost.
-            self._flush_write_buffer(thread)
-            return pc + 1
-        if isinstance(instr, Syscall):
-            self._do_syscall(thread, instr.name)
-            return pc + 1
-        if isinstance(instr, Mb):
-            self._advance_cycles(self.costs.mb_cycles)
-            self._flush_write_buffer(thread)
-            self.stats.counter("mbs").add()
-            return pc + 1
-        if isinstance(instr, Beq):
-            self.sim.advance(self._branch_ps)
-            if self._value(thread, instr.a) == self._value(thread, instr.b):
-                return thread.program.target(instr.target)
-            return pc + 1
-        if isinstance(instr, Bne):
-            self.sim.advance(self._branch_ps)
-            if self._value(thread, instr.a) != self._value(thread, instr.b):
-                return thread.program.target(instr.target)
-            return pc + 1
-        if isinstance(instr, Add):
-            total = self._value(thread, instr.a) + self._value(thread, instr.b)
-            thread.set_reg(instr.dst, total)
-            self.sim.advance(self._base_ps)
-            return pc + 1
-        if isinstance(instr, Jump):
-            self.sim.advance(self._branch_ps)
-            return thread.program.target(instr.target)
-        if isinstance(instr, CompareExchange):
-            self._do_exchange(thread, instr.dst, instr.addr,
-                              self._value(thread, instr.src))
-            return pc + 1
-        if isinstance(instr, CallPal):
-            self._do_call_pal(thread, instr.name)
-            return pc + 1
-        if isinstance(instr, Nop):
-            self.sim.advance(self._base_ps)
-            return pc + 1
-        raise ConfigError(f"unknown instruction {instr!r}")
-
     # -- memory paths ------------------------------------------------------------------
 
-    def _do_load(self, thread: Thread, dst: str, addr: Addr) -> None:
-        vaddr = self._effective(thread, addr)
-        translation = self.mmu.translate(vaddr, "read",
-                                         user_mode=not self._in_kernel)
-        self.sim.advance(translation.cost)
+    def _load(self, thread: Thread, dst: str, vaddr: int) -> None:
+        translation = self.mmu.translate(vaddr, "read", not self._in_kernel)
+        sim = self.sim
+        sim.advance(translation.cost)
         paddr = translation.paddr
-        if self.bus.is_device(paddr):
-            forwarded = self.write_buffer.forward(paddr)
-            if forwarded is not None:
-                # Relaxed write buffer: the load is serviced from a
-                # pending same-address store and never reaches the device
-                # (footnote 6's failure mode).
-                self.sim.advance(self._base_ps)
-                thread.set_reg(dst, forwarded)
-                self.stats.counter("forwarded_loads").add()
-                return
-            if not self.write_buffer.relaxed:
+        bus = self.bus
+        hit = bus.find_window(paddr)
+        if hit is not None:
+            write_buffer = self.write_buffer
+            if write_buffer.relaxed:
+                forwarded = write_buffer.forward(paddr)
+                if forwarded is not None:
+                    # Relaxed write buffer: the load is serviced from a
+                    # pending same-address store and never reaches the
+                    # device (footnote 6's failure mode).
+                    sim.advance(self._base_ps)
+                    thread.set_reg(dst, forwarded)
+                    self.stats.counter("forwarded_loads").add()
+                    return
+            else:
                 # Strongly ordered interface: drain before the load.
                 self._flush_write_buffer(thread)
-            self.sim.advance(self._uncached_ps)
-            value, bus_cost = self.bus.read_word(paddr, self._access_ctx(thread))
-            self.sim.advance(bus_cost)
-            self._uncached_loads.add()
+            sim.advance(self._uncached_ps)
+            value, bus_cost = bus.read_word(paddr, self._access_ctx(thread),
+                                            hit)
+            sim.advance(bus_cost)
+            self._uncached_loads.value += 1
         else:
-            self._advance_cycles(self.costs.mem_cycles
-                                 if self.cache is None
-                                 else self.cache.access(paddr))
-            value = self.bus.ram.read_word(paddr)
-            self._loads.add()
+            sim.advance(self._mem_ps if self.cache is None
+                        else self.clock.cycles(self.cache.access(paddr)))
+            value = bus.ram.read_word(paddr)
+            self._loads.value += 1
         thread.set_reg(dst, value)
 
-    def _do_store(self, thread: Thread, addr: Addr, value: int) -> None:
-        vaddr = self._effective(thread, addr)
-        translation = self.mmu.translate(vaddr, "write",
-                                         user_mode=not self._in_kernel)
-        self.sim.advance(translation.cost)
+    def _store(self, thread: Thread, vaddr: int, value: int) -> None:
+        translation = self.mmu.translate(vaddr, "write", not self._in_kernel)
+        sim = self.sim
+        sim.advance(translation.cost)
         paddr = translation.paddr
         if self.bus.is_device(paddr):
-            self.sim.advance(self._uncached_ps)
-            room_cost = self.write_buffer.post(
-                paddr, value & WORD_MASK, self._drain_fn(thread))
-            # post() already advanced time inside the drain fn if it had
-            # to make room; room_cost is informational.
-            del room_cost
-            self._uncached_stores.add()
+            sim.advance(self._uncached_ps)
+            # post() advances time itself (inside the drain fn) when it
+            # has to make room; its returned cost is informational.
+            self.write_buffer.post(paddr, value & WORD_MASK,
+                                   self._drain_fn(thread))
+            self._uncached_stores.value += 1
         else:
-            self._advance_cycles(self.costs.mem_cycles
-                                 if self.cache is None
-                                 else self.cache.access(paddr))
+            sim.advance(self._mem_ps if self.cache is None
+                        else self.clock.cycles(self.cache.access(paddr)))
             self.bus.ram.write_word(paddr, value & WORD_MASK)
-            self._stores.add()
+            self._stores.value += 1
 
-    def _do_exchange(self, thread: Thread, dst: str, addr: Addr,
-                     value: int) -> None:
-        vaddr = self._effective(thread, addr)
+    def _exchange(self, thread: Thread, dst: str, vaddr: int,
+                  value: int) -> None:
         # An atomic RMW needs both read and write rights.
         translation = self.mmu.translate(vaddr, "write",
                                          user_mode=not self._in_kernel)
@@ -450,7 +401,7 @@ class Cpu:
         else:
             old = self.bus.ram.read_word(paddr)
             self.bus.ram.write_word(paddr, value & WORD_MASK)
-            self._advance_cycles(self.costs.mem_cycles)
+            self.sim.advance(self._mem_ps)
         thread.set_reg(dst, old)
         self.stats.counter("exchanges").add()
 
@@ -465,7 +416,8 @@ class Cpu:
         return drain
 
     def _flush_write_buffer(self, thread: Thread) -> None:
-        self.write_buffer.flush(self._drain_fn(thread))
+        if len(self.write_buffer):
+            self.write_buffer.flush(self._drain_fn(thread))
 
     def drain_write_buffer(self, thread: Thread) -> None:
         """Flush posted stores on behalf of *thread* (scheduler use).
@@ -478,14 +430,15 @@ class Cpu:
 
     # -- traps ----------------------------------------------------------------------------
 
-    def _do_call_pal(self, thread: Thread, name: str) -> None:
+    def _call_pal(self, thread: Thread, name: str) -> None:
         if name not in self._pal_functions:
             raise ConfigError(f"no PAL function {name!r} installed")
         if self._in_pal:
             raise ConfigError("nested PAL calls are not allowed")
         self.stats.counter("pal_calls").add()
-        self._advance_cycles(self.costs.pal_entry_cycles)
+        self.sim.advance(self._pal_entry_ps)
         pal_program = self._pal_functions[name]
+        ops = decoded(pal_program)
         self._in_pal = True
         saved_program, saved_pc = thread.program, thread.pc
         try:
@@ -493,9 +446,8 @@ class Cpu:
             # Execute the entire PAL body inside this one step():
             # uninterruptible by construction.
             guard = 4 * PAL_MAX_INSTRUCTIONS
-            while thread.pc < len(pal_program) and not thread.halted:
-                instr = pal_program.instructions[thread.pc]
-                thread.pc = self._execute(thread, instr)
+            while thread.pc < len(ops) and not thread.halted:
+                thread.pc = ops[thread.pc](self, thread)
                 guard -= 1
                 if guard <= 0:
                     raise ConfigError(
@@ -504,20 +456,21 @@ class Cpu:
             self._in_pal = False
             thread.program, thread.pc = saved_program, saved_pc
             thread.halted = False
-        self._advance_cycles(self.costs.pal_exit_cycles)
+        self.sim.advance(self._pal_exit_ps)
 
-    def _do_syscall(self, thread: Thread, name: str) -> None:
-        if name not in self._syscalls:
+    def _syscall(self, thread: Thread, name: str) -> None:
+        handler = self._syscalls.get(name)
+        if handler is None:
             raise ConfigError(f"no syscall {name!r} registered")
         self.stats.counter("syscalls").add()
-        self._advance_cycles(self.costs.syscall_entry_cycles)
+        self.sim.advance(self._syscall_entry_ps)
         self._in_kernel = True
         try:
-            result = self._syscalls[name](thread, self)
+            result = handler(thread, self)
         finally:
             self._in_kernel = False
         thread.set_reg("v0", result & WORD_MASK)
-        self._advance_cycles(self.costs.syscall_exit_cycles)
+        self.sim.advance(self._syscall_exit_ps)
 
     # -- helpers ---------------------------------------------------------------------------
 
@@ -527,19 +480,171 @@ class Cpu:
         return self._in_kernel
 
     def _access_ctx(self, thread: Thread) -> AccessContext:
-        return AccessContext(issuer=thread.pid, kernel=self._in_kernel,
-                             when=self.sim.now)
+        return AccessContext(thread.pid, self._in_kernel, self.sim.now)
 
-    def _advance_cycles(self, cycles: float) -> None:
-        self.sim.advance(self.clock.cycles(cycles))
 
-    @staticmethod
-    def _value(thread: Thread, operand: Operand) -> int:
-        if isinstance(operand, str):
-            return thread.reg(operand)
-        return operand & WORD_MASK
+# -- the decoded form ----------------------------------------------------------------
 
-    @staticmethod
-    def _effective(thread: Thread, addr: Addr) -> int:
-        base = thread.reg(addr.base) if addr.base is not None else 0
-        return (base + addr.disp) & WORD_MASK
+#: One decoded instruction: ``handler(cpu, thread)`` executes it and
+#: returns the next pc.
+Handler = Callable[[Cpu, Thread], int]
+
+
+def decoded(program: Program) -> Tuple[Handler, ...]:
+    """*program*'s instructions as handlers, decoded once per program.
+
+    Decoding resolves everything an instruction fixes: whether each
+    operand is a register or an immediate, absolute versus based
+    addresses, branch targets and the fall-through pc.  Handlers take
+    the CPU as an argument, so one shared (memoised) program is decoded
+    once for every CPU that runs it; the result is kept on the program.
+    """
+    ops = program.decoded
+    if ops is None:
+        ops = tuple(_decode(program, index, instr)
+                    for index, instr in enumerate(program.instructions))
+        object.__setattr__(program, "decoded", ops)
+    return ops
+
+
+def _operand(operand: Operand) -> Tuple[Optional[str], int]:
+    """``(register, immediate)``: read the register unless it is None.
+
+    The ``zero`` register always reads 0, so it decodes as an immediate.
+    """
+    if isinstance(operand, str):
+        if operand == "zero":
+            return None, 0
+        return operand, 0
+    return None, operand & WORD_MASK
+
+
+def _address(addr: Addr) -> Tuple[Optional[str], int]:
+    """``(base register, displacement)``; an absolute address has no base."""
+    if addr.base is None or addr.base == "zero":
+        return None, addr.disp & WORD_MASK
+    return addr.base, addr.disp
+
+
+def _decode(program: Program, index: int, instr: Instruction) -> Handler:
+    nxt = index + 1
+    if isinstance(instr, (Store, Load, CompareExchange)):
+        base, disp = _address(instr.addr)
+        if isinstance(instr, Store):
+            src, imm = _operand(instr.src)
+
+            def store(cpu: Cpu, thread: Thread) -> int:
+                regs = thread.registers
+                cpu._store(thread,
+                           disp if base is None
+                           else (regs.get(base, 0) + disp) & WORD_MASK,
+                           imm if src is None else regs.get(src, 0))
+                return nxt
+            return store
+        if isinstance(instr, Load):
+            dst = instr.dst
+
+            def load(cpu: Cpu, thread: Thread) -> int:
+                cpu._load(thread, dst, disp if base is None else
+                          (thread.registers.get(base, 0) + disp) & WORD_MASK)
+                return nxt
+            return load
+        dst = instr.dst
+        src, imm = _operand(instr.src)
+
+        def exchange(cpu: Cpu, thread: Thread) -> int:
+            regs = thread.registers
+            cpu._exchange(thread, dst,
+                          disp if base is None
+                          else (regs.get(base, 0) + disp) & WORD_MASK,
+                          imm if src is None else regs.get(src, 0))
+            return nxt
+        return exchange
+    if isinstance(instr, Mov):
+        dst = instr.dst
+        src, imm = _operand(instr.src)
+
+        def mov(cpu: Cpu, thread: Thread) -> int:
+            thread.set_reg(dst, imm if src is None
+                           else thread.registers.get(src, 0))
+            cpu.sim.advance(cpu._base_ps)
+            return nxt
+        return mov
+    if isinstance(instr, Add):
+        dst = instr.dst
+        reg_a, imm_a = _operand(instr.a)
+        reg_b, imm_b = _operand(instr.b)
+
+        def add(cpu: Cpu, thread: Thread) -> int:
+            regs = thread.registers
+            thread.set_reg(dst,
+                           (imm_a if reg_a is None else regs.get(reg_a, 0))
+                           + (imm_b if reg_b is None else regs.get(reg_b, 0)))
+            cpu.sim.advance(cpu._base_ps)
+            return nxt
+        return add
+    if isinstance(instr, (Beq, Bne)):
+        reg_a, imm_a = _operand(instr.a)
+        reg_b, imm_b = _operand(instr.b)
+        label = instr.target
+        target = program.labels.get(label)
+        taken_if_equal = isinstance(instr, Beq)
+
+        def branch(cpu: Cpu, thread: Thread) -> int:
+            cpu.sim.advance(cpu._branch_ps)
+            regs = thread.registers
+            equal = ((imm_a if reg_a is None else regs.get(reg_a, 0))
+                     == (imm_b if reg_b is None else regs.get(reg_b, 0)))
+            if equal is taken_if_equal:
+                # An unknown label raises only when the branch is taken.
+                return target if target is not None \
+                    else program.target(label)
+            return nxt
+        return branch
+    if isinstance(instr, Jump):
+        label = instr.target
+        target = program.labels.get(label)
+
+        def jump(cpu: Cpu, thread: Thread) -> int:
+            cpu.sim.advance(cpu._branch_ps)
+            return target if target is not None else program.target(label)
+        return jump
+    if isinstance(instr, Halt):
+        def halt(cpu: Cpu, thread: Thread) -> int:
+            thread.halted = True
+            cpu.sim.advance(cpu._base_ps)
+            # The buffer keeps draining after the program ends; model it
+            # as a final flush so no posted store is ever lost.
+            cpu._flush_write_buffer(thread)
+            return nxt
+        return halt
+    if isinstance(instr, Syscall):
+        name = instr.name
+
+        def syscall(cpu: Cpu, thread: Thread) -> int:
+            cpu._syscall(thread, name)
+            return nxt
+        return syscall
+    if isinstance(instr, Mb):
+        def mb(cpu: Cpu, thread: Thread) -> int:
+            cpu.sim.advance(cpu._mb_ps)
+            cpu._flush_write_buffer(thread)
+            cpu.stats.counter("mbs").add()
+            return nxt
+        return mb
+    if isinstance(instr, CallPal):
+        name = instr.name
+
+        def call_pal(cpu: Cpu, thread: Thread) -> int:
+            cpu._call_pal(thread, name)
+            return nxt
+        return call_pal
+    if isinstance(instr, Nop):
+        def nop(cpu: Cpu, thread: Thread) -> int:
+            cpu.sim.advance(cpu._base_ps)
+            return nxt
+        return nop
+
+    def unknown(cpu: Cpu, thread: Thread) -> int:
+        raise ConfigError(f"unknown instruction {instr!r}")
+    return unknown

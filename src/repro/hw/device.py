@@ -12,15 +12,16 @@ current-process register.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..units import Time
 
 
-@dataclass(frozen=True)
-class AccessContext:
+class AccessContext(NamedTuple):
     """Metadata travelling with a bus access.
+
+    A named tuple because one is built per bus access: it is cheap to
+    construct, immutable, and hashes and prints like a frozen dataclass.
 
     Attributes:
         issuer: process id of the instruction that caused the access, or

@@ -23,8 +23,7 @@ protocols themselves never see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ...errors import ConfigError, DeviceError
 from ...obs.spans import Span, SpanTracer
@@ -51,8 +50,7 @@ REG_MAPOUT_SRC = 0x30
 REG_MAPOUT_DST = 0x38
 
 
-@dataclass(frozen=True)
-class InitiationRecord:
+class InitiationRecord(NamedTuple):
     """One initiation attempt that reached the start logic.
 
     Attributes:
@@ -376,9 +374,8 @@ class DmaEngine(MmioDevice):
             # new record replaces a cached slot, so cut the cache first.
             self._init_fp = self._init_fp[:len(self.initiations)]
         self.initiations.append(InitiationRecord(
-            when=self.sim.now, psrc=psrc, pdst=pdst, size=size,
-            issuer=issuer, via=via_name,
-            ctx_id=ctx.ctx_id if ctx is not None else None, ok=ok))
+            self.sim.now, psrc, pdst, size, issuer, via_name,
+            ctx.ctx_id if ctx is not None else None, ok))
         if not ok:
             if ctx is not None:
                 ctx.failed = True
@@ -602,9 +599,8 @@ class DmaEngine(MmioDevice):
 
     def _shadow_access(self, op: str, ctx_id: int, paddr: int, data: int,
                        ctx: AccessContext) -> ShadowAccess:
-        return ShadowAccess(op=op, ctx_id=ctx_id, paddr=paddr, data=data,
-                            issuer=ctx.issuer, kernel=ctx.kernel,
-                            when=ctx.when)
+        return ShadowAccess(op, ctx_id, paddr, data, ctx.issuer,
+                            ctx.kernel, ctx.when)
 
     def _check_ctx_id(self, ctx_id: int) -> None:
         if not 0 <= ctx_id < len(self.contexts):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Tuple
 
 from ...errors import ConfigError
 from ...sim.snapshot import freeze
@@ -38,9 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import DmaEngine
 
 
-@dataclass(frozen=True)
-class ShadowAccess:
-    """One decoded access to the shadow region.
+class ShadowAccess(NamedTuple):
+    """One decoded access to the shadow region (one per engine access).
 
     Attributes:
         op: "load", "store", or "exchange".

@@ -23,15 +23,15 @@ pages sit inside the engine window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from ...errors import AddressError, ConfigError
 from ..pagetable import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 
 
-@dataclass(frozen=True)
-class ShadowRef:
-    """A decoded shadow access target.
+class ShadowRef(NamedTuple):
+    """A decoded shadow access target (one per shadow-region access).
 
     Attributes:
         ctx_id: the CONTEXT_ID carried in the address (0 under plain
@@ -87,18 +87,20 @@ class ShadowLayout:
             raise ConfigError("shadow region overlaps register pages")
 
     # -- derived geometry -----------------------------------------------------
+    # Computed once per layout (every engine access decodes through
+    # them); cached_property stores the value beside the frozen fields.
 
-    @property
+    @cached_property
     def key_page_offset(self) -> int:
         """Window offset of the kernel-only key-table page."""
         return self.n_contexts * PAGE_SIZE
 
-    @property
+    @cached_property
     def control_page_offset(self) -> int:
         """Window offset of the kernel-only control page."""
         return (self.n_contexts + 1) * PAGE_SIZE
 
-    @property
+    @cached_property
     def shadow_region_size(self) -> int:
         """Bytes of shadow space (all contexts)."""
         return 1 << (self.ctx_bits + self.ctx_shift)
@@ -108,7 +110,7 @@ class ShadowLayout:
         """Total bytes of the engine window."""
         return self.shadow_offset + self.shadow_region_size
 
-    @property
+    @cached_property
     def max_argument_paddr(self) -> int:
         """Exclusive upper bound on encodable argument addresses."""
         return 1 << self.ctx_shift
@@ -153,7 +155,7 @@ class ShadowLayout:
             return None
         ctx_id = rel >> self.ctx_shift
         paddr = rel & (self.max_argument_paddr - 1)
-        return ShadowRef(ctx_id=ctx_id, paddr=paddr)
+        return ShadowRef(ctx_id, paddr)
 
     def decode_paddr(self, shadow_addr: int) -> Optional[ShadowRef]:
         """Decode an absolute physical address as a shadow reference."""

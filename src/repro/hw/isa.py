@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigError
 
@@ -193,6 +193,11 @@ class Program:
     instructions: Sequence[Instruction]
     labels: Mapping[str, int] = field(default_factory=dict)
     name: str = ""
+    #: The CPU's decoded form of the instructions, built on first
+    #: execution and kept for the program's lifetime (see
+    #: :func:`repro.hw.cpu.decoded`).
+    decoded: Optional[Tuple[Any, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -66,15 +66,18 @@ class PhysicalMemory:
 
     def read(self, paddr: int, nbytes: int) -> bytes:
         """Read *nbytes* starting at *paddr*."""
-        self._check_range(paddr, nbytes, "read")
+        if nbytes < 0 or paddr < 0 or paddr + nbytes > self.size:
+            self._check_range(paddr, nbytes, "read")
         return bytes(self._data[paddr:paddr + nbytes])
 
     def write(self, paddr: int, data: bytes) -> None:
         """Write *data* starting at *paddr*."""
-        self._check_range(paddr, len(data), "write")
+        end = paddr + len(data)
+        if paddr < 0 or end > self.size:
+            self._check_range(paddr, len(data), "write")
         if self._undo is not None:
             self._cow_range(paddr, len(data))
-        self._data[paddr:paddr + len(data)] = data
+        self._data[paddr:end] = data
 
     def fill(self, paddr: int, nbytes: int, value: int = 0) -> None:
         """Fill a range with a repeated byte value."""

@@ -7,8 +7,7 @@ pipeline needs (uncached?) plus the translation cost for the timing model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import PageFault, ProtectionFault
 from ..units import Time
@@ -16,9 +15,8 @@ from .pagetable import PAGE_MASK, PageTable, Pte
 from .tlb import Tlb
 
 
-@dataclass(frozen=True)
-class Translation:
-    """The result of one MMU translation.
+class Translation(NamedTuple):
+    """The result of one MMU translation (one per memory instruction).
 
     Attributes:
         paddr: the physical address.
@@ -84,22 +82,18 @@ class Mmu:
             raise RuntimeError("MMU has no active page table")
         pte = self.tlb.lookup(vaddr)
         if pte is not None:
-            self._check(pte, vaddr, access, user_mode)
+            # Protection re-checked against the cached PTE's bits.
+            if user_mode:
+                if not pte.user:
+                    raise PageFault(vaddr, access)
+                if not pte.allows(access):
+                    raise ProtectionFault(vaddr, access)
             return Translation(pte.pframe | (vaddr & PAGE_MASK), pte,
-                               self.hit_cost, tlb_hit=True)
+                               self.hit_cost, True)
         # Miss: walk the active table (raises on fault), then cache.
         paddr = self._table.translate(vaddr, access, user_mode)
         pte = self._table.lookup(vaddr)
         assert pte is not None  # translate() would have raised otherwise
         self.tlb.insert(vaddr, pte)
         return Translation(paddr, pte, self.hit_cost + self.walk_cost,
-                           tlb_hit=False)
-
-    @staticmethod
-    def _check(pte: Pte, vaddr: int, access: str, user_mode: bool) -> None:
-        """Re-run protection checks against a TLB-cached PTE."""
-        if user_mode:
-            if not pte.user:
-                raise PageFault(vaddr, access)
-            if not pte.allows(access):
-                raise ProtectionFault(vaddr, access)
+                           False)

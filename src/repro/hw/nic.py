@@ -13,6 +13,7 @@ remote destinations over a network fabric instead of copying locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Protocol
 
 from ..errors import AddressError, ConfigError, NetworkError
@@ -42,12 +43,13 @@ class GlobalAddressMap:
         if self.node_bits <= 0 or self.local_bits <= 0:
             raise ConfigError("address fields must be positive widths")
 
-    @property
+    # Derived once per map (every transfer decodes through them).
+    @cached_property
     def max_nodes(self) -> int:
         """Number of addressable nodes."""
         return 1 << self.node_bits
 
-    @property
+    @cached_property
     def local_size(self) -> int:
         """Per-node address-space size in bytes."""
         return 1 << self.local_bits

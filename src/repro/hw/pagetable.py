@@ -164,7 +164,7 @@ class PageTable:
 
     def lookup(self, vaddr: int) -> Optional[Pte]:
         """Return the PTE for *vaddr*'s page, or None if unmapped."""
-        return self._entries.get(vpn_of(vaddr))
+        return self._entries.get(vaddr >> PAGE_SHIFT)
 
     def translate(self, vaddr: int, access: str,
                   user_mode: bool = True) -> int:
@@ -184,7 +184,7 @@ class PageTable:
             PageFault: if the page is unmapped (or kernel-only in user mode).
             ProtectionFault: if the permission bits deny the access.
         """
-        pte = self.lookup(vaddr)
+        pte = self._entries.get(vaddr >> PAGE_SHIFT)
         if pte is None:
             raise PageFault(vaddr, access)
         if user_mode:
@@ -192,7 +192,7 @@ class PageTable:
                 raise PageFault(vaddr, access)
             if not pte.allows(access):
                 raise ProtectionFault(vaddr, access)
-        return pte.pframe | page_offset(vaddr)
+        return pte.pframe | (vaddr & PAGE_MASK)
 
     def check_range(self, vaddr: int, nbytes: int, access: str) -> None:
         """Verify an entire byte range is mapped with *access* permission.

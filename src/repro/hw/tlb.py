@@ -14,7 +14,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from ..errors import ConfigError
-from .pagetable import Pte, vpn_of
+from .pagetable import PAGE_SHIFT, Pte, vpn_of
 
 
 class Tlb:
@@ -36,7 +36,7 @@ class Tlb:
 
     def lookup(self, vaddr: int) -> Optional[Pte]:
         """Return the cached PTE for *vaddr*'s page, updating LRU order."""
-        vpn = vpn_of(vaddr)
+        vpn = vaddr >> PAGE_SHIFT
         pte = self._entries.get(vpn)
         if pte is None:
             self.misses += 1

@@ -53,7 +53,6 @@ from ..hw.dma.status import STATUS_FAILURE
 from ..hw.pagetable import PAGE_SIZE, Perm, page_base, pages_covering
 from ..sim.engine import Simulator
 from ..sim.rng import make_secret_stream
-from ..units import Time
 from .costs import OsCosts
 from ..hw.dma.recognizer import SetupOp
 from ..hw.dma.protocols.capio import NONCE_FIELD_BITS
@@ -118,6 +117,18 @@ class Kernel:
         self._free_atomic_contexts: List[int] = (
             list(range(atomic_unit.layout.n_contexts))
             if atomic_unit is not None else [])
+        # The fixed kernel-path charges in ps (the clock and both cost
+        # tables are frozen).
+        cycles = cpu.clock.cycles
+        self._dispatch_ps = cycles(costs.syscall_dispatch_cycles)
+        self._translation_ps = cycles(costs.translation_cycles)
+        self._uncached_issue_ps = cycles(cpu.costs.uncached_issue_cycles)
+        self._dma_control = (engine.layout.window_base
+                             + engine.layout.control_page_offset)
+        #: Local -> engine address encoding (a NIC speaks global
+        #: addresses; a plain engine is the identity).
+        self._global_address: Optional[Callable[[int], int]] = getattr(
+            engine, "global_address", None)
         self._register_syscalls()
 
     # ------------------------------------------------------------------
@@ -258,7 +269,7 @@ class Kernel:
         NICs on a cluster fabric speak global addresses; a plain DMA
         engine (or node 0, where global == local) is the identity.
         """
-        encode = getattr(self.engine, "global_address", None)
+        encode = self._global_address
         if encode is None:
             return paddr
         return encode(paddr)
@@ -549,7 +560,7 @@ class Kernel:
         vsrc = thread.reg("a0")
         vdst = thread.reg("a1")
         size = thread.reg("a2")
-        self.charge(self.costs.syscall_dispatch_cycles)
+        self.sim.advance(self._dispatch_ps)
         try:
             if size <= 0:
                 raise ProtectionFault(vsrc, "dma-size")
@@ -560,7 +571,7 @@ class Kernel:
             proc.page_table.check_range(vsrc, size, "read")
         except (PageFault, ProtectionFault):
             return STATUS_FAILURE
-        control = self._dma_control_base()
+        control = self._dma_control
         self.device_write(control + REG_SOURCE, self._globalize(psrc),
                           thread)
         self.device_write(control + REG_DESTINATION, global_dst, thread)
@@ -579,7 +590,7 @@ class Kernel:
         """
         remote = proc.remote_window_at(vdst)
         if remote is not None:
-            self.charge(self.costs.translation_cycles)
+            self.sim.advance(self._translation_ps)
             # The whole transfer must stay inside ONE granted window —
             # two windows with a gap between them must not be bridged.
             for base, _global, window_size in proc.remote_windows:
@@ -612,7 +623,7 @@ class Kernel:
         vtarget = thread.reg("a0")
         operand = thread.reg("a1")
         operand2 = thread.reg("a2")
-        self.charge(self.costs.syscall_dispatch_cycles)
+        self.sim.advance(self._dispatch_ps)
         try:
             ptarget = self.virtual_to_physical(proc, vtarget, "write")
             proc.page_table.translate(vtarget, "read")
@@ -638,7 +649,7 @@ class Kernel:
         "The operating system must invalidate any partially initiated
         user-level DMA transfer on every context switch."
         """
-        control = self._dma_control_base()
+        control = self._dma_control
 
         def hook(old: Optional[Process], new: Process) -> None:
             self.charge(self.costs.hook_call_cycles)
@@ -652,7 +663,7 @@ class Kernel:
         "The context switch handler informs the DMA engine about which
         process is currently running."
         """
-        control = self._dma_control_base()
+        control = self._dma_control
 
         def hook(old: Optional[Process], new: Process) -> None:
             self.charge(self.costs.hook_call_cycles)
@@ -671,34 +682,29 @@ class Kernel:
     def virtual_to_physical(self, proc: Process, vaddr: int,
                             access: str) -> int:
         """Fig. 1's software translation with access-rights check."""
-        self.charge(self.costs.translation_cycles)
+        self.sim.advance(self._translation_ps)
         return proc.page_table.translate(vaddr, access, user_mode=True)
 
     def device_write(self, paddr: int, value: int,
                      thread: Optional[Thread]) -> None:
         """An uncached privileged register write, fully timed."""
-        self.charge(self.cpu.costs.uncached_issue_cycles)
-        ctx = AccessContext(
-            issuer=thread.pid if thread is not None else None,
-            kernel=True, when=self.sim.now)
-        cost: Time = self.bus.write_word(paddr, value, ctx)
-        self.sim.advance(cost)
+        sim = self.sim
+        sim.advance(self._uncached_issue_ps)
+        ctx = AccessContext(thread.pid if thread is not None else None,
+                            True, sim.now)
+        sim.advance(self.bus.write_word(paddr, value, ctx))
 
     def device_read(self, paddr: int, thread: Optional[Thread]) -> int:
         """An uncached privileged register read, fully timed."""
-        self.charge(self.cpu.costs.uncached_issue_cycles)
-        ctx = AccessContext(
-            issuer=thread.pid if thread is not None else None,
-            kernel=True, when=self.sim.now)
+        sim = self.sim
+        sim.advance(self._uncached_issue_ps)
+        ctx = AccessContext(thread.pid if thread is not None else None,
+                            True, sim.now)
         value, cost = self.bus.read_word(paddr, ctx)
-        self.sim.advance(cost)
+        sim.advance(cost)
         return value
 
     # ------------------------------------------------------------------
-
-    def _dma_control_base(self) -> int:
-        return (self.engine.layout.window_base
-                + self.engine.layout.control_page_offset)
 
     def _proc_of(self, thread: Thread) -> Process:
         proc = self.processes.get(thread.pid)

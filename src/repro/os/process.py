@@ -146,7 +146,6 @@ class Process:
         self.buffers: List[Buffer] = []
         self.dma: Optional[DmaBinding] = None
         self.atomic: Optional[AtomicBinding] = None
-        self.threads: List[Thread] = []
         #: Remote windows the OS granted: (vaddr, global_paddr, size).
         self.remote_windows: List[tuple] = []
         self._brk = USER_BASE
@@ -186,11 +185,14 @@ class Process:
     # -- threads -------------------------------------------------------------------
 
     def new_thread(self, program: Program) -> Thread:
-        """Create a thread of this process running *program*."""
-        thread = Thread(pid=self.pid, page_table=self.page_table,
-                        program=program)
-        self.threads.append(thread)
-        return thread
+        """Create a thread of this process running *program*.
+
+        The process keeps no reference to it: a thread lives as long as
+        its caller holds it, so a long-running service that starts one
+        thread per DMA does not accumulate them.
+        """
+        return Thread(pid=self.pid, page_table=self.page_table,
+                      program=program)
 
     # -- conveniences for user-side code ----------------------------------------------
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ConfigError, ObservabilityError
@@ -191,16 +191,8 @@ class DmaService:
             try:
                 if job.queued is not None:
                     self.spans.end(job.queued)
-                completion = shard.execute(job.request)
-                completion = Completion(
-                    request=job.request, ok=completion.ok,
-                    outcome=completion.outcome,
-                    latency_us=completion.latency_us,
-                    attempts=completion.attempts,
-                    fell_back=completion.fell_back, shard=index,
-                    bytes_moved=completion.bytes_moved,
-                    finished_tick=self.tick)
-                self._complete(job, completion)
+                self._complete(job, shard.execute(
+                    job.request, finished_tick=self.tick))
             except Exception as exc:  # pragma: no cover - defensive
                 if not job.future.done():
                     job.future.set_exception(exc)
@@ -239,10 +231,9 @@ class DmaService:
         """
         if request.trace is not None:
             return request
-        trace = TraceContext(
+        return request.with_trace(TraceContext(
             trace_id=make_trace_id(self.config.seed, request.req_id),
-            tenant=request.tenant, request_id=request.req_id)
-        return replace(request, trace=trace)
+            tenant=request.tenant, request_id=request.req_id))
 
     async def submit(self, request: Request
                      ) -> "asyncio.Future[Completion]":
@@ -284,8 +275,8 @@ class DmaService:
                         depth=self._queues[shard_index].qsize())
             # The shard's spans hang off this root via the cross-process
             # parent link the context now carries.
-            job.request = request = replace(
-                request, trace=trace.child(job.root.span_id, "frontend"))
+            job.request = request = request.with_trace(
+                trace.child(job.root.span_id, "frontend"))
         if not admitted:
             completion = Completion(
                 request=request, ok=False, outcome=OUTCOME_REJECTED,

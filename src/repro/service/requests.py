@@ -85,6 +85,17 @@ class Request:
             raise ConfigError(f"trace must be a trace context, "
                               f"got {self.trace!r}")
 
+    def with_trace(self, trace: TraceContext) -> "Request":
+        """A copy of this request carrying *trace*.
+
+        Like :func:`dataclasses.replace`, but without re-running the
+        field checks: every field was validated when this request was
+        built, and the front end attaches a context to every request.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, trace=trace)
+        return clone
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering."""
         out: Dict[str, Any] = {

@@ -20,7 +20,7 @@ soak leaves a tamper mark the sweep finds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.api import DmaChannel, open_channel
 from ..core.machine import MachineConfig, Workstation
@@ -59,6 +59,10 @@ _RAMP = bytes(range(256)) * (TENANT_BUFFER_BYTES // 256 + 1)
 #: ``(i * 13) % 256`` for every byte of a tenant buffer; canaries are it
 #: shifted by a salt.
 _STRIDE13 = bytes((i * 13) % 256 for i in range(TENANT_BUFFER_BYTES))
+
+#: What an executor hands back: (ok, outcome, attempts, fell_back,
+#: bytes_moved); :meth:`ServiceShard.execute` builds the one Completion.
+_Result = Tuple[bool, str, int, bool, int]
 
 #: Bounded-wait policy tuned like the fault benchmark: the completion
 #: timeout comfortably exceeds a one-page transfer, and backoff stays in
@@ -246,7 +250,8 @@ class ServiceShard:
     # execution
     # ------------------------------------------------------------------
 
-    def execute(self, request: Request) -> Completion:
+    def execute(self, request: Request, finished_tick: int = 0
+                ) -> Completion:
         """Run one request to completion on this shard (serial).
 
         The request's trace context (if any) is activated on the
@@ -255,6 +260,9 @@ class ServiceShard:
         fallback, fault injections — carries the request's trace id and
         hangs off one ``shard.execute`` root with a cross-process link
         back to the front end.
+
+        Args:
+            finished_tick: the service tick stamped on the completion.
         """
         tenant = self.tenant(request.tenant)
         start = self.ws.sim.now
@@ -262,27 +270,16 @@ class ServiceShard:
         with spans.activate(request.trace, process=self.process):
             root = spans.begin("shard.execute", track=self.process,
                                kind=request.kind, req_id=request.req_id)
-            if request.kind == KIND_DMA:
-                completion = self._execute_dma(request, tenant)
-            elif request.kind == KIND_ATOMIC:
-                completion = self._execute_atomic(request, tenant)
-            elif request.kind == KIND_MESSAGE:
-                completion = self._execute_message(request, tenant)
-            else:  # pragma: no cover - Request.__post_init__ rejects these
-                raise KernelError(f"unknown kind {request.kind!r}")
-            self.ws.drain()
-            spans.end(root, outcome=completion.outcome,
-                      attempts=completion.attempts)
+            ok, outcome, attempts, fell_back, moved = self._dispatch(
+                request, tenant)
+            spans.end(root, outcome=outcome, attempts=attempts)
         self.requests_executed += 1
-        self.bytes_moved += completion.bytes_moved
+        self.bytes_moved += moved
         if self.ws.metrics.enabled:
             self.ws.metrics.poll()
-        latency = to_us(self.ws.sim.now - start)
-        final = Completion(
-            request=request, ok=completion.ok, outcome=completion.outcome,
-            latency_us=latency, attempts=completion.attempts,
-            fell_back=completion.fell_back, shard=self.index,
-            bytes_moved=completion.bytes_moved)
+        final = Completion(request, ok, outcome,
+                           to_us(self.ws.sim.now - start), attempts,
+                           fell_back, self.index, moved, finished_tick)
         self.flightrec.note(final)
         if final.outcome == OUTCOME_WRONG_DATA:
             self.flightrec.bundle(
@@ -294,13 +291,26 @@ class ServiceShard:
                        f"inside its authorized region")
         return final
 
+    def _dispatch(self, request: Request, tenant: _Tenant) -> _Result:
+        """Execute *request* by kind, then let background work finish."""
+        if request.kind == KIND_DMA:
+            result = self._execute_dma(request, tenant)
+        elif request.kind == KIND_ATOMIC:
+            result = self._execute_atomic(request, tenant)
+        elif request.kind == KIND_MESSAGE:
+            result = self._execute_message(request, tenant)
+        else:  # pragma: no cover - Request.__post_init__ rejects these
+            raise KernelError(f"unknown kind {request.kind!r}")
+        self.ws.drain()
+        return result
+
     def fault_plan_dict(self) -> Optional[Dict[str, object]]:
         """The active fault plan's JSON rendering, if one is attached."""
         if self._injector is None:
             return None
         return self._injector.plan.to_dict()
 
-    def _execute_dma(self, request: Request, tenant: _Tenant) -> Completion:
+    def _execute_dma(self, request: Request, tenant: _Tenant) -> _Result:
         size = min(request.size, MAX_TRANSFER_BYTES)
         if request.hot:
             if tenant.hot_vaddr is None:
@@ -328,9 +338,8 @@ class ServiceShard:
         self.ws.drain()
         if not result.ok:
             self.ws.ram.write(region_paddr, baseline)
-            return Completion(request, ok=False, outcome=OUTCOME_ABORTED,
-                              attempts=result.attempts,
-                              fell_back=result.fell_back)
+            return False, OUTCOME_ABORTED, result.attempts, \
+                result.fell_back, 0
         # Verify the FULL authorized region, not just the requested
         # bytes: a bit-flipped size or offset word can land the wrong
         # bytes inside the region while the completion still reports
@@ -342,21 +351,17 @@ class ServiceShard:
         self.ws.ram.write(region_paddr, baseline)
         if landed != expected:
             self.wrong_data += 1
-            return Completion(request, ok=False,
-                              outcome=OUTCOME_WRONG_DATA,
-                              attempts=result.attempts,
-                              fell_back=result.fell_back)
+            return False, OUTCOME_WRONG_DATA, result.attempts, \
+                result.fell_back, 0
         outcome = OUTCOME_COMPLETED
         if result.fell_back:
             outcome = OUTCOME_FELL_BACK
         elif result.attempts > 1:
             outcome = OUTCOME_RETRIED
-        return Completion(request, ok=True, outcome=outcome,
-                          attempts=result.attempts,
-                          fell_back=result.fell_back, bytes_moved=size)
+        return True, outcome, result.attempts, result.fell_back, size
 
     def _execute_atomic(self, request: Request,
-                        tenant: _Tenant) -> Completion:
+                        tenant: _Tenant) -> _Result:
         if not self.config.atomics:
             # No atomic unit on this shard: serve it as a small DMA so
             # mixed workloads still make progress.
@@ -371,28 +376,23 @@ class ServiceShard:
         # touched a different offset of the (authorized) page.
         self.ws.ram.write(tenant.dst_paddr, tenant.canary)
         if not result.ok:
-            return Completion(request, ok=False, outcome=OUTCOME_ABORTED,
-                              attempts=1)
-        return Completion(request, ok=True, outcome=OUTCOME_COMPLETED,
-                          attempts=1, bytes_moved=8)
+            return False, OUTCOME_ABORTED, 1, False, 0
+        return True, OUTCOME_COMPLETED, 1, False, 8
 
     def _execute_message(self, request: Request,
-                         tenant: _Tenant) -> Completion:
+                         tenant: _Tenant) -> _Result:
         channel = self._message_channel(tenant)
         if channel is None:
             return self._execute_dma(request, tenant)
         payload_len = min(request.size, channel.sender.layout.max_payload)
         payload = tenant.pattern[:payload_len]
         if not channel.send(payload):
-            return Completion(request, ok=False, outcome=OUTCOME_ABORTED,
-                              attempts=1)
+            return False, OUTCOME_ABORTED, 1, False, 0
         received = channel.recv()
         if received != payload:
             self.wrong_data += 1
-            return Completion(request, ok=False,
-                              outcome=OUTCOME_WRONG_DATA, attempts=1)
-        return Completion(request, ok=True, outcome=OUTCOME_COMPLETED,
-                          attempts=1, bytes_moved=payload_len)
+            return False, OUTCOME_WRONG_DATA, 1, False, 0
+        return True, OUTCOME_COMPLETED, 1, False, payload_len
 
     def _message_channel(self, tenant: _Tenant):
         """The tenant's ring channel to the shard receiver (lazy, capped)."""

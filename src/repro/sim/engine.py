@@ -414,6 +414,9 @@ class Simulator:
         events scheduled inside the advanced window fire in timestamp order
         before the clock settles at the new value.
 
+        Lazy: when nothing is live, or the cached head is clean and due
+        after *target*, no event can fire, so the queue is not consulted.
+
         Returns:
             The new current time.
 
@@ -423,11 +426,14 @@ class Simulator:
         if delta < 0:
             raise SimulationError(f"cannot advance by negative time: {delta}")
         target = self.now + delta
-        self._drain_until(target)
+        if self._live:
+            head = self._head
+            if self._head_dirty or head is None or head.when <= target:
+                self._drain_until(target)
         if self._journal is not None:
             self._j_state()
         self.now = target
-        return self.now
+        return target
 
     # -- event loop -----------------------------------------------------------
 

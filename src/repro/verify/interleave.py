@@ -110,8 +110,7 @@ class ProtocolHarness:
 
     def deliver(self, access: AccessSpec) -> Optional[int]:
         """Deliver one access; returns the status for loads, else None."""
-        ctx = AccessContext(issuer=access.pid, kernel=False,
-                            when=self.sim.now)
+        ctx = AccessContext(access.pid, False, self.sim.now)
         self.sim.advance(1)  # keep timestamps strictly ordered
         if access.op in ("store", "load", "exchange"):
             offset = (self.layout.shadow_offset

@@ -8,8 +8,9 @@ from tests.conftest import ready_channel
 
 from repro.core import api
 from repro.core.api import PROGRAM_MEMO_SIZE, DmaChannel
+from repro.core.methods import METHODS
 from repro.errors import ConfigError
-from repro.hw.isa import Bne, Halt, Label, Mov
+from repro.hw.isa import Bne, Halt, Label, Mov, assemble
 
 
 def test_identical_initiations_run_the_same_program():
@@ -58,6 +59,9 @@ def test_size_binding_and_path_give_distinct_programs():
 ])
 def test_malformed_sequences_still_raise_every_time(monkeypatch, malformed):
     ws, proc, src, dst, chan = ready_channel("keyed")
+    # The memo is keyed by the arguments, so the patched builder is only
+    # consulted on a miss: start from an empty memo.
+    monkeypatch.setattr(api, "_PROGRAMS", type(api._PROGRAMS)())
     monkeypatch.setattr(chan, "sequence",
                         lambda *args, **kwargs: list(malformed))
     for _ in range(2):  # a failure is never memoised
@@ -65,19 +69,81 @@ def test_malformed_sequences_still_raise_every_time(monkeypatch, malformed):
             chan.program(src.vaddr, dst.vaddr, 64)
 
 
-def test_memo_stays_within_its_bound():
+def test_memo_stays_within_its_bound(monkeypatch):
     ws, proc, src, dst, chan = ready_channel("kernel")
-    api._assemble_memo.cache_clear()
+    monkeypatch.setattr(api, "_PROGRAMS", type(api._PROGRAMS)())
     sizes = range(1, 10 * PROGRAM_MEMO_SIZE + 1)
-    for size in sizes:
+    first = chan.program(src.vaddr, dst.vaddr, sizes[0])
+    for size in sizes[1:]:
         chan.program(src.vaddr, dst.vaddr, size)
-        assert api._assemble_memo.cache_info().currsize \
-            <= PROGRAM_MEMO_SIZE
-    assert api._assemble_memo.cache_info().currsize == PROGRAM_MEMO_SIZE
-    # The most recent programs are the ones kept.
-    info = api._assemble_memo.cache_info()
+        assert len(api._PROGRAMS) <= PROGRAM_MEMO_SIZE
+    assert len(api._PROGRAMS) == PROGRAM_MEMO_SIZE
+    # The most recent programs are the ones kept: the newest is a hit,
+    # the oldest was evicted and is assembled afresh.
     newest = chan.program(src.vaddr, dst.vaddr, sizes[-1])
-    assert api._assemble_memo.cache_info().hits == info.hits + 1
-    chan.program(src.vaddr, dst.vaddr, sizes[0])
-    assert api._assemble_memo.cache_info().misses == info.misses + 1
+    assert chan.program(src.vaddr, dst.vaddr, sizes[-1]) is newest
+    again = chan.program(src.vaddr, dst.vaddr, sizes[0])
+    assert again is not first
+    assert again.instructions == first.instructions
     assert newest.instructions[-1] == Halt()
+
+
+def _reissue(vaddr):
+    """Replace the capability for the buffer at *vaddr* with a new one."""
+    def change(binding):
+        desc = binding.capabilities[vaddr]
+        binding.capabilities[vaddr] = dataclasses.replace(
+            desc, epoch=desc.epoch + 1, nonce=desc.nonce ^ 1)
+    return change
+
+
+def _binding_changes(binding, src, dst):
+    """Each binding field a sequence builder reads that *binding* sets,
+    with a change to it."""
+    changes = {}
+    for field in ("key", "ctx_id"):
+        if getattr(binding, field) is not None:
+            changes[field] = lambda b, f=field: setattr(
+                b, f, getattr(b, f) ^ 1)
+    for field in ("ctx_page_vaddr", "capio_window_vaddr"):
+        if getattr(binding, field) is not None:
+            changes[field] = lambda b, f=field: setattr(
+                b, f, getattr(b, f) + 0x2000)
+    for role, buffer in (("src", src), ("dst", dst)):
+        if buffer.vaddr in binding.capabilities:
+            changes[f"{role} capability"] = _reissue(buffer.vaddr)
+    return changes
+
+
+#: The fields whose change shows in each method's instructions.
+EMBEDDED = {
+    "keyed": {"key", "ctx_id", "ctx_page_vaddr"},
+    "capio": {"ctx_page_vaddr", "capio_window_vaddr", "src capability",
+              "dst capability"},
+    "capio_noepoch": {"ctx_page_vaddr", "capio_window_vaddr",
+                      "src capability", "dst capability"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_memo_key_covers_the_binding_fields(method):
+    """After any change to a binding field, the memo hands back exactly
+    what the sequence builder makes now, never a program built before."""
+    ws, proc, src, dst, chan = ready_channel(method)
+
+    def fresh():
+        return assemble(chan.sequence(src.vaddr, dst.vaddr, 64) + [Halt()])
+
+    assert chan.program(src.vaddr, dst.vaddr, 64).instructions \
+        == fresh().instructions
+    binding = proc.dma  # None on the kernel path
+    embedded = set()
+    changes = {} if binding is None else _binding_changes(binding, src, dst)
+    for field, change in changes.items():
+        before = fresh().instructions
+        change(binding)
+        after = chan.program(src.vaddr, dst.vaddr, 64)
+        assert after.instructions == fresh().instructions
+        if after.instructions != before:
+            embedded.add(field)
+    assert embedded == EMBEDDED.get(method, set())

@@ -2,7 +2,14 @@
 
 from repro.core.api import DmaChannel
 from repro.faults.injector import Injector
-from repro.faults.plan import DROP, DUPLICATE, BITFLIP, FaultPlan, FaultRule
+from repro.faults.plan import (
+    BITFLIP,
+    DROP,
+    DUPLICATE,
+    REORDER,
+    FaultPlan,
+    FaultRule,
+)
 from repro.units import us
 
 from .conftest import TRANSFER_BYTES
@@ -21,6 +28,23 @@ def test_dropped_store_fails_initiation(make_rig):
     assert not result.ok
     assert injector.stats.counter("store.drop").value == 1
     assert rig.dst_untouched()
+
+
+def test_reordered_stores_are_counted_on_the_bus(make_rig):
+    # Every store is held back and delivered after the next device
+    # access; the bus must still count each one it finally carries.
+    rig = make_rig()
+    injector = attach(rig, FaultRule(kind=REORDER, target="store",
+                                     probability=1.0))
+    for _ in range(3):
+        rig.chan.initiate(rig.src.vaddr, rig.dst.vaddr, TRANSFER_BYTES)
+    injector.flush()
+    # Keyed stores go to three distinct addresses, so the write buffer
+    # collapses none: every store the CPU issued reached the bus.
+    issued = rig.ws.cpu.stats.counter("uncached_stores").value
+    assert issued == 9
+    assert injector.stats.counter("store.reorder").value == issued
+    assert rig.ws.bus.stats.counter("device_writes").value == issued
 
 
 def test_dropped_status_load_reads_bus_timeout(make_rig):

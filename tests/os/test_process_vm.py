@@ -1,5 +1,8 @@
 """Unit tests for processes and the virtual-memory manager."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import KernelError, PageFault, ProtectionFault
@@ -39,7 +42,12 @@ class TestProcess:
         thread = proc.new_thread(assemble([Halt()]))
         assert thread.pid == 7
         assert thread.page_table is proc.page_table
-        assert proc.threads == [thread]
+        # The process does not retain its threads (one per DMA in a
+        # long-running service): dropping the caller's reference frees it.
+        ref = weakref.ref(thread)
+        del thread
+        gc.collect()
+        assert ref() is None
 
     def test_bindings_raise_until_granted(self):
         proc = Process(1)
